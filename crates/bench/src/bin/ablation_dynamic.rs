@@ -8,7 +8,7 @@
 //! sweeps the arrival rate from light to saturating load, reporting
 //! admitted clips and mean admission wait.
 //!
-//! Usage: `cargo run --release -p cms-bench --bin ablation_dynamic [-- --json] [--threads T] [--trace PATH] [--trace-rounds N]`
+//! Usage: `cargo run --release -p cms-bench --bin ablation_dynamic [-- --json] [--trace PATH] [--trace-rounds N]`
 
 #![forbid(unsafe_code)]
 
@@ -40,7 +40,6 @@ fn main() {
             let mut cfg = SimConfig::sigmod96(scheme, &point, 32);
             cfg.arrival_rate = rate;
             cfg.rounds = 600;
-            cfg.threads = args.threads();
             cfg.trace = trace.labeled(&format!("{scheme:?}-lambda{rate}"));
             let m = Simulator::new(cfg).expect("constructs").run();
             assert_eq!(m.hiccups, 0, "{scheme} must not hiccup");

@@ -4,14 +4,15 @@
 //! declustered, a clustered and the no-redundancy scheme, one JSONL
 //! verdict per run.
 //!
-//! Usage: `cargo run --release -p cms-bench --bin campaign [-- --out PATH] [--jobs N] [--scenario NAME] [--list] [--rounds N] [--seed S] [--threads T]`
+//! Usage: `cargo run --release -p cms-bench --bin campaign [-- --out PATH] [--jobs N] [--scenario NAME] [--list] [--rounds N] [--seed S]`
 //!
 //! `--jobs` is the number of simulations in flight at once (0 = one per
-//! task); `--threads` is each simulation's disk-service worker count.
-//! Neither changes a byte of the output — CI regenerates the sweep at
+//! task); each simulation runs its engine at one thread. `--jobs` does
+//! not change a byte of the output — CI regenerates the sweep at
 //! `--jobs 1` and `--jobs 8` and diffs both against the committed
-//! golden (`crates/bench/goldens/campaign.jsonl`). Regenerate the
-//! golden with:
+//! golden (`crates/bench/goldens/campaign.jsonl`). An unknown
+//! `--scenario` or an unwritable `--out` exits 2. Regenerate the golden
+//! with:
 //!
 //! ```text
 //! cargo run --release -p cms-bench --bin campaign -- --out crates/bench/goldens/campaign.jsonl
@@ -19,8 +20,8 @@
 
 #![forbid(unsafe_code)]
 
-use cms_bench::campaign::{campaign_rows, to_jsonl, SCENARIOS};
-use cms_bench::BenchArgs;
+use cms_bench::cli::fail;
+use cms_bench::{campaign_rows, to_jsonl, BenchArgs, SCENARIOS};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -34,19 +35,11 @@ fn main() {
     let seed = args.seed_or(7);
     let jobs = args.u64_value("--jobs").unwrap_or(0) as usize;
     let filter = args.value("--scenario");
-    let rows = campaign_rows(rounds, seed, jobs, args.threads().max(1), filter);
-    if let Some(f) = filter {
-        assert!(!rows.is_empty(), "unknown scenario {f:?}; try --list");
+    let rows = campaign_rows(rounds, seed, jobs, filter);
+    if let Some(f) = filter.filter(|_| rows.is_empty()) {
+        fail("campaign", format_args!("unknown scenario {f:?}; try --list"));
     }
-    let jsonl = to_jsonl(&rows);
-    match args.value("--out") {
-        Some(path) => {
-            std::fs::write(path, &jsonl)
-                .unwrap_or_else(|e| panic!("campaign: cannot write {path}: {e}"));
-            eprintln!("campaign: wrote {} rows to {path}", rows.len());
-        }
-        None => print!("{jsonl}"),
-    }
+    args.emit("campaign", &to_jsonl(&rows), rows.len());
     // Invariants every sweep must uphold, whatever the flags: verified
     // reconstructions never mismatch, and a lost stream is always the
     // result of a multi-failure scenario.

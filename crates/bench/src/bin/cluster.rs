@@ -3,14 +3,15 @@
 //! double failure, unreplicated failure) on an 8-node cluster, one JSONL
 //! verdict per scenario.
 //!
-//! Usage: `cargo run --release -p cms-bench --bin cluster [-- --out PATH] [--jobs N] [--scenario NAME] [--list] [--rounds N] [--seed S] [--threads T]`
+//! Usage: `cargo run --release -p cms-bench --bin cluster [-- --out PATH] [--jobs N] [--scenario NAME] [--list] [--rounds N] [--seed S]`
 //!
 //! `--jobs` is the number of cluster simulations in flight at once (0 =
-//! one per task); `--threads` is each cluster's node-stepping worker
-//! count. Neither changes a byte of the output — CI regenerates the
-//! sweep at `--jobs 1` and `--jobs 8 --threads 4` and diffs both against
-//! the committed golden (`crates/bench/goldens/cluster_campaign.jsonl`).
-//! Regenerate the golden with:
+//! one per task); each cluster steps its nodes on one thread. `--jobs`
+//! does not change a byte of the output — CI regenerates the sweep at
+//! `--jobs 1` and `--jobs 8` and diffs both against the committed golden
+//! (`crates/bench/goldens/cluster_campaign.jsonl`). An unknown
+//! `--scenario` or an unwritable `--out` exits 2. Regenerate the golden
+//! with:
 //!
 //! ```text
 //! cargo run --release -p cms-bench --bin cluster -- --out crates/bench/goldens/cluster_campaign.jsonl
@@ -18,7 +19,8 @@
 
 #![forbid(unsafe_code)]
 
-use cms_bench::{cluster_campaign_rows, cluster_to_jsonl, BenchArgs, CLUSTER_SCENARIOS};
+use cms_bench::cli::fail;
+use cms_bench::{cluster_campaign_rows, to_jsonl, BenchArgs, CLUSTER_SCENARIOS};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -33,19 +35,11 @@ fn main() {
     let seed = args.seed_or(7);
     let jobs = args.u64_value("--jobs").unwrap_or(0) as usize;
     let filter = args.value("--scenario");
-    let rows = cluster_campaign_rows(rounds, seed, jobs, args.threads().max(1), filter);
-    if let Some(f) = filter {
-        assert!(!rows.is_empty(), "unknown scenario {f:?}; try --list");
+    let rows = cluster_campaign_rows(rounds, seed, jobs, filter);
+    if let Some(f) = filter.filter(|_| rows.is_empty()) {
+        fail("cluster", format_args!("unknown scenario {f:?}; try --list"));
     }
-    let jsonl = cluster_to_jsonl(&rows);
-    match args.value("--out") {
-        Some(path) => {
-            std::fs::write(path, &jsonl)
-                .unwrap_or_else(|e| panic!("cluster: cannot write {path}: {e}"));
-            eprintln!("cluster: wrote {} rows to {path}", rows.len());
-        }
-        None => print!("{jsonl}"),
-    }
+    args.emit("cluster", &to_jsonl(&rows), rows.len());
     // Invariants every sweep must uphold, whatever the flags: surviving
     // streams never glitch, and arrivals are fully accounted for.
     for r in &rows {

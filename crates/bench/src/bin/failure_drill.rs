@@ -4,24 +4,21 @@
 //! the non-clustered baseline is allowed (expected, under saturation) to
 //! glitch — the §7.4 caveat.
 //!
-//! Usage: `cargo run --release -p cms-bench --bin failure_drill [-- --json] [--rounds N] [--threads T] [--trace PATH] [--trace-rounds N]`
+//! Usage: `cargo run --release -p cms-bench --bin failure_drill [-- --json] [--rounds N] [--trace PATH] [--trace-rounds N]`
 //!
-//! `--threads` sets the disk-service worker count (0 = available
-//! parallelism, 1 = sequential); the numbers are identical at any setting.
 //! `--trace` exports each scheme's failure→recovery→rebuild event stream
 //! (JSONL, or CSV when the path ends in `.csv`) to its own file; feed a
-//! JSONL file to the `timeline` binary to render the drill. The exported
-//! streams are byte-identical at any `--threads` setting.
+//! JSONL file to the `timeline` binary to render the drill.
 
 #![forbid(unsafe_code)]
 
-use cms_bench::{failure_drill_traced, BenchArgs};
+use cms_bench::{failure_drill, BenchArgs};
 use cms_core::Scheme;
 
 fn main() {
     let args = BenchArgs::parse();
     let rounds = args.rounds_or(300);
-    let rows = failure_drill_traced(rounds, 0x0DEA_D15C, args.threads(), &args.trace_spec());
+    let rows = failure_drill(rounds, 0x0DEA_D15C, &args.trace_spec());
     if args.json() {
         println!("{}", serde_json::to_string_pretty(&rows).expect("serializable"));
         return;

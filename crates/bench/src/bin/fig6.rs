@@ -2,24 +2,22 @@
 //! parity group size (Poisson λ = 20, 1000 clips × 50 rounds), five
 //! schemes, two buffer sizes.
 //!
-//! Usage: `cargo run --release -p cms-bench --bin fig6 [-- --json] [--rounds N] [--seed S] [--threads T] [--trace PATH] [--trace-rounds N]`
+//! Usage: `cargo run --release -p cms-bench --bin fig6 [-- --json] [--rounds N] [--seed S] [--trace PATH] [--trace-rounds N]`
 //!
-//! `--threads` sets the disk-service worker count (0 = available
-//! parallelism, 1 = sequential); the numbers are identical at any setting.
 //! `--trace` exports a per-run event stream (JSONL, or CSV when the path
 //! ends in `.csv`) with each run's `(buffer, scheme, p)` label inserted
 //! into the file name; `--trace-rounds N` keeps only the last N rounds.
 
 #![forbid(unsafe_code)]
 
-use cms_bench::{fig6_rows_traced, BenchArgs, PAPER_PS};
+use cms_bench::{fig6_rows, BenchArgs, PAPER_PS};
 use cms_core::Scheme;
 
 fn main() {
     let args = BenchArgs::parse();
     let rounds = args.rounds_or(600);
     let seed = args.seed_or(0x51_6D0D);
-    let rows = fig6_rows_traced(rounds, seed, args.threads(), &args.trace_spec());
+    let rows = fig6_rows(rounds, seed, &args.trace_spec());
     if args.json() {
         println!("{}", serde_json::to_string_pretty(&rows).expect("serializable"));
         return;

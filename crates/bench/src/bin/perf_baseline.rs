@@ -32,15 +32,16 @@
 //! binary installs a counting global allocator and reports the
 //! allocations attributed to the disk-service phase of the timed window —
 //! the performance contract (DESIGN.md §7) says that number is zero.
-//! Attribution is only valid single-threaded, so `--threads` defaults to
-//! 1 here (0 also means 1).
+//! Attribution is only valid single-threaded, and every engine here runs
+//! at one disk-service thread (the report's `threads` field is always 1).
 //!
 //! Usage:
-//! `cargo run --release -p cms-bench --features bench-alloc --bin perf_baseline -- [--out BENCH_engine.json] [--rounds N] [--warmup N] [--seed S] [--threads T] [--only NAME] [--gauge-probe]`
+//! `cargo run --release -p cms-bench --features bench-alloc --bin perf_baseline -- [--out BENCH_engine.json] [--rounds N] [--warmup N] [--seed S] [--only NAME] [--gauge-probe]`
 
 use std::time::Instant;
 
 use cms_bench::campaign::campaign_config;
+use cms_bench::cli::fail;
 use cms_bench::{cluster_campaign_config, sim_point, BenchArgs, CLUSTER_SCENARIOS, PAPER_D, SCENARIOS};
 use cms_cluster::ClusterSim;
 use cms_core::units::mib;
@@ -177,12 +178,11 @@ fn time_scenario(
 }
 
 /// The Figure 6 cell: DeclusteredParity, p = 4, 256 MB buffer, healthy.
-fn fig6_sim(total: u64, seed: u64, threads: usize) -> Simulator {
+fn fig6_sim(total: u64, seed: u64) -> Simulator {
     let input = ModelInput::sigmod96(mib(256)).with_storage_blocks(1000 * 50 * 3 / 2);
     let point =
         sim_point(Scheme::DeclusteredParity, &input, 4, seed).expect("fig6 cell constructs");
-    let mut cfg =
-        SimConfig::sigmod96(Scheme::DeclusteredParity, &point, PAPER_D).with_threads(threads);
+    let mut cfg = SimConfig::sigmod96(Scheme::DeclusteredParity, &point, PAPER_D);
     cfg.rounds = total;
     cfg.seed = seed;
     Simulator::new(cfg).expect("fig6 sim constructs")
@@ -190,14 +190,13 @@ fn fig6_sim(total: u64, seed: u64, threads: usize) -> Simulator {
 
 /// The same cell degraded: disk 5 fails mid-warm-up, verification on, so
 /// the timed window measures reconstruction-mode service.
-fn drill_sim(total: u64, warmup: u64, seed: u64, threads: usize) -> Simulator {
+fn drill_sim(total: u64, warmup: u64, seed: u64) -> Simulator {
     let input = ModelInput::sigmod96(mib(256)).with_storage_blocks(1000 * 50 * 3 / 2);
     let point =
         sim_point(Scheme::DeclusteredParity, &input, 4, seed).expect("drill cell constructs");
     let mut cfg = SimConfig::sigmod96(Scheme::DeclusteredParity, &point, PAPER_D)
         .with_failure(warmup / 2, DiskId(5))
-        .with_verification()
-        .with_threads(threads);
+        .with_verification();
     cfg.rounds = total;
     cfg.seed = seed;
     Simulator::new(cfg).expect("drill sim constructs")
@@ -205,13 +204,12 @@ fn drill_sim(total: u64, warmup: u64, seed: u64, threads: usize) -> Simulator {
 
 /// The A3 rebuild configuration: small library, moderate load, background
 /// rebuild onto a spare running through the whole timed window.
-fn rebuild_sim(total: u64, warmup: u64, seed: u64, threads: usize) -> Simulator {
+fn rebuild_sim(total: u64, warmup: u64, seed: u64) -> Simulator {
     let input = ModelInput::sigmod96(mib(256)).with_storage_blocks(24_000);
     let point =
         sim_point(Scheme::DeclusteredParity, &input, 4, seed).expect("rebuild point constructs");
     let mut cfg = SimConfig::sigmod96(Scheme::DeclusteredParity, &point, PAPER_D)
-        .with_failure(warmup / 2, DiskId(1))
-        .with_threads(threads);
+        .with_failure(warmup / 2, DiskId(1));
     cfg.catalog_clips = 300;
     cfg.arrival_rate = 5.0;
     cfg.rounds = total;
@@ -227,12 +225,12 @@ fn rebuild_sim(total: u64, warmup: u64, seed: u64, threads: usize) -> Simulator 
 /// Every recovery and rebuild decode in the timed window exercises the
 /// GF(256) kernels, so the budget gate pins both their throughput and
 /// the zero-allocation contract of the `_within` codec paths.
-fn rs_rebuild_sim(total: u64, seed: u64, threads: usize) -> Simulator {
+fn rs_rebuild_sim(total: u64, seed: u64) -> Simulator {
     let scenario = SCENARIOS
         .iter()
         .find(|s| s.name == "double_disk_failure_rs2")
         .expect("rs2 campaign scenario exists");
-    let cfg = campaign_config(scenario, Scheme::PrefetchParityDisks, total, seed, threads);
+    let cfg = campaign_config(scenario, Scheme::PrefetchParityDisks, total, seed);
     Simulator::new(cfg).expect("rs-rebuild sim constructs")
 }
 
@@ -243,7 +241,7 @@ fn rs_rebuild_sim(total: u64, seed: u64, threads: usize) -> Simulator {
 /// double-buffered streams. The arrival flood (λ = 800/round) saturates
 /// admission within the warm-up; the huge aging limit keeps the backlog
 /// queued instead of expiring it.
-fn giant_sim(total: u64, seed: u64, threads: usize) -> Simulator {
+fn giant_sim(total: u64, seed: u64) -> Simulator {
     let cfg = SimConfig {
         scheme: Scheme::DeclusteredParity,
         d: 1000,
@@ -267,7 +265,7 @@ fn giant_sim(total: u64, seed: u64, threads: usize) -> Simulator {
         admission_scan: 64,
         aging_limit: 100_000,
         auto_rebuild: false,
-        threads,
+        threads: 1,
         trace: cms_sim::TraceSpec::off(),
     };
     Simulator::new(cfg).expect("giant sim constructs")
@@ -277,12 +275,12 @@ fn giant_sim(total: u64, seed: u64, threads: usize) -> Simulator {
 /// (DeclusteredParity, d = 8 per node, replicated catalog, gateway
 /// arrivals) stepped single-threaded so allocation attribution stays
 /// valid.
-fn cluster_sim(total: u64, seed: u64, threads: usize) -> ClusterSim {
+fn cluster_sim(total: u64, seed: u64) -> ClusterSim {
     let steady = CLUSTER_SCENARIOS
         .iter()
         .find(|s| s.name == "steady")
         .expect("steady scenario exists");
-    let cfg = cluster_campaign_config(steady, total, seed, threads);
+    let cfg = cluster_campaign_config(steady, total, seed);
     ClusterSim::new(cfg).expect("cluster sim constructs")
 }
 
@@ -316,8 +314,7 @@ fn gauge_probe() -> ! {
 
 #[cfg(not(feature = "bench-alloc"))]
 fn gauge_probe() -> ! {
-    eprintln!("perf_baseline: --gauge-probe requires --features bench-alloc");
-    std::process::exit(2);
+    fail("perf_baseline", "--gauge-probe requires --features bench-alloc");
 }
 
 fn main() {
@@ -328,10 +325,6 @@ fn main() {
     if args.trace_path().is_some() {
         eprintln!("perf_baseline: --trace ignored (tracing would perturb the timings)");
     }
-    let threads = match args.threads() {
-        0 => 1, // allocation attribution needs a single service thread
-        t => t,
-    };
     let warmup = args.u64_value("--warmup").unwrap_or(64);
     let rounds = args.rounds_or(4096);
     let seed = args.seed_or(1);
@@ -342,64 +335,36 @@ fn main() {
 
     let mut scenarios = Vec::new();
     if want("fig6_steady") {
-        scenarios.push(run_scenario(
-            "fig6_steady",
-            fig6_sim(total, seed, threads),
-            warmup,
-            rounds,
-        ));
+        scenarios.push(run_scenario("fig6_steady", fig6_sim(total, seed), warmup, rounds));
     }
     if want("failure_drill") {
-        scenarios.push(run_scenario(
-            "failure_drill",
-            drill_sim(total, warmup, seed, threads),
-            warmup,
-            rounds,
-        ));
+        let sim = drill_sim(total, warmup, seed);
+        scenarios.push(run_scenario("failure_drill", sim, warmup, rounds));
     }
     if want("rebuild") {
-        scenarios.push(run_scenario(
-            "rebuild",
-            rebuild_sim(total, warmup, seed, threads),
-            warmup,
-            rounds,
-        ));
+        scenarios.push(run_scenario("rebuild", rebuild_sim(total, warmup, seed), warmup, rounds));
     }
     if want("rs-rebuild") {
-        scenarios.push(run_scenario(
-            "rs-rebuild",
-            rs_rebuild_sim(total, seed, threads),
-            warmup,
-            rounds,
-        ));
+        scenarios.push(run_scenario("rs-rebuild", rs_rebuild_sim(total, seed), warmup, rounds));
     }
     if want("cluster-small") {
-        scenarios.push(run_cluster_scenario(
-            "cluster-small",
-            cluster_sim(total, seed, threads),
-            warmup,
-            rounds,
-        ));
+        let sim = cluster_sim(total, seed);
+        scenarios.push(run_cluster_scenario("cluster-small", sim, warmup, rounds));
     }
     if want("giant") {
         // Each giant round services ~50k streams across 1000 disks, so
         // the measured window is capped to keep the suite CI-sized.
         let giant_rounds = rounds.min(256);
-        scenarios.push(run_scenario(
-            "giant",
-            giant_sim(warmup + giant_rounds, seed, threads),
-            warmup,
-            giant_rounds,
-        ));
+        let sim = giant_sim(warmup + giant_rounds, seed);
+        scenarios.push(run_scenario("giant", sim, warmup, giant_rounds));
     }
     if scenarios.is_empty() {
-        eprintln!("perf_baseline: --only matched no scenario");
-        std::process::exit(2);
+        fail("perf_baseline", "--only matched no scenario");
     }
 
     let report = Report {
         schema: "cms-perf-baseline/v1",
-        threads,
+        threads: 1,
         warmup_rounds: warmup,
         measured_rounds: rounds,
         seed,
@@ -409,7 +374,9 @@ fn main() {
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     let out = args.value("--out").unwrap_or("BENCH_engine.json");
-    std::fs::write(out, format!("{json}\n")).expect("output file writable");
+    if let Err(e) = std::fs::write(out, format!("{json}\n")) {
+        fail("perf_baseline", format_args!("cannot write {out}: {e}"));
+    }
     println!("{json}");
     eprintln!("perf_baseline: wrote {out}");
 }

@@ -8,7 +8,7 @@
 //! for the clustered schemes when popular clips share a cluster — the
 //! experiment measures how much.
 //!
-//! Usage: `cargo run --release -p cms-bench --bin popularity [-- --json] [--threads T] [--trace PATH] [--trace-rounds N]`
+//! Usage: `cargo run --release -p cms-bench --bin popularity [-- --json] [--trace PATH] [--trace-rounds N]`
 
 #![forbid(unsafe_code)]
 
@@ -42,7 +42,6 @@ fn main() {
             let mut cfg = SimConfig::sigmod96(scheme, &point, 32);
             cfg.zipf_theta = theta;
             cfg.rounds = 600;
-            cfg.threads = args.threads();
             cfg.trace = trace.labeled(&format!("{scheme:?}-theta{theta}"));
             let m = Simulator::new(cfg).expect("constructs").run();
             assert_eq!(m.hiccups, 0, "{scheme} θ={theta}");

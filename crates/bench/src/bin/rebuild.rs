@@ -8,10 +8,8 @@
 //! to full redundancy for the declustered scheme across parity group
 //! sizes and client loads, at fixed hardware.
 //!
-//! Usage: `cargo run --release -p cms-bench --bin rebuild [-- --json] [--threads T] [--trace PATH] [--trace-rounds N]`
+//! Usage: `cargo run --release -p cms-bench --bin rebuild [-- --json] [--trace PATH] [--trace-rounds N]`
 //!
-//! `--threads` sets the disk-service worker count (0 = available
-//! parallelism, 1 = sequential); the numbers are identical at any setting.
 //! `--trace` exports each `(scheme, p, λ)` run's event stream to its own
 //! file (JSONL, or CSV when the path ends in `.csv`).
 
@@ -35,7 +33,6 @@ struct Row {
 
 fn main() {
     let args = BenchArgs::parse();
-    let threads = args.threads();
     let trace = args.trace_spec();
     let input = ModelInput::sigmod96(268_435_456).with_storage_blocks(24_000);
     let fail_round = 50u64;
@@ -50,7 +47,6 @@ fn main() {
                 cfg.catalog_clips = 300; // smaller library → measurable rebuild
                 cfg.arrival_rate = rate;
                 cfg.rounds = 6_000;
-                cfg.threads = threads;
                 cfg.auto_rebuild = true;
                 cfg.trace = trace.labeled(&format!("{scheme:?}-p{p}-lambda{rate}"));
                 cfg = cfg.with_failure(fail_round, DiskId(1));

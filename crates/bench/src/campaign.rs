@@ -6,13 +6,17 @@
 //! knobs, run on a small 8-disk array (the engine test geometry: p = 4,
 //! q = 8, f = 2) so a full sweep finishes in seconds. The rows are
 //! emitted in fixed (scenario, scheme) order and every simulation is
-//! bit-identical at any `--jobs`/`--threads` setting, so the output can
-//! be diffed byte-for-byte against the committed golden
+//! bit-identical at any `--jobs` setting, so the output can be diffed
+//! byte-for-byte against the committed golden
 //! (`crates/bench/goldens/campaign.jsonl`) — CI's `fault-campaign` job
-//! does exactly that at 1 and 8 worker threads.
+//! does exactly that at `--jobs 1` and `--jobs 8`.
+//!
+//! `run_cells` and [`to_jsonl`] are shared with the cluster campaign:
+//! the campaign cell is the harness's unit of parallelism, and every
+//! engine inside a cell runs at one thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
 use cms_core::Scheme;
 use cms_sim::{FaultSchedule, Metrics, SimConfig, Simulator};
@@ -243,19 +247,14 @@ impl CampaignRow {
 
 /// Builds the simulation config for one campaign run: the engine test
 /// geometry (d = 8, p = 4, q = 8, f = 2) with byte-level verification
-/// on, parameterized by the scenario's knobs.
+/// on, parameterized by the scenario's knobs, at one disk-service
+/// thread.
 ///
 /// # Panics
 ///
 /// Panics if the canned spec fails to parse — a campaign table bug.
 #[must_use]
-pub fn campaign_config(
-    scenario: &Scenario,
-    scheme: Scheme,
-    rounds: u64,
-    seed: u64,
-    threads: usize,
-) -> SimConfig {
+pub fn campaign_config(scenario: &Scenario, scheme: Scheme, rounds: u64, seed: u64) -> SimConfig {
     // lint: allow(P001) canned table specs are parse-tested; a bad one is a build bug
     let faults = FaultSchedule::parse(scenario.spec).expect("canned spec must parse");
     SimConfig {
@@ -281,65 +280,71 @@ pub fn campaign_config(
         admission_scan: 64,
         aging_limit: 200,
         auto_rebuild: scenario.auto_rebuild,
-        threads,
+        threads: 1,
         trace: cms_sim::TraceSpec::off(),
     }
 }
 
+/// Runs `cell` over every task with `jobs` cells in flight at once (0 =
+/// one per task) and returns the results in task order, whatever order
+/// the workers finish in. Cells are pure functions of their task, so the
+/// output is bit-identical at any `jobs`.
+pub(crate) fn run_cells<T: Sync, R: Send + Sync>(
+    tasks: &[T],
+    jobs: usize,
+    cell: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = if jobs == 0 { tasks.len() } else { jobs }.clamp(1, tasks.len().max(1));
+    let results: Vec<OnceLock<R>> = tasks.iter().map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(task) = tasks.get(i) else { break };
+                // Each index is claimed by exactly one worker, so the slot
+                // is still empty.
+                let _ = results[i].set(cell(task));
+            });
+        }
+    });
+    // A panicking cell re-panics out of the scope, so every slot is set.
+    results.into_iter().filter_map(OnceLock::into_inner).collect()
+}
+
 /// Runs the campaign: every scenario × scheme, `jobs` runs in flight at
-/// once (0 = one per task), each simulation's disk loop at
-/// `sim_threads`. Rows come back in fixed (scenario, scheme) order and
-/// are bit-identical at any `jobs`/`sim_threads` setting. `filter`
+/// once (0 = one per task). Rows come back in fixed (scenario, scheme)
+/// order and are bit-identical at any `jobs` setting. `filter`
 /// restricts to one scenario by name.
 #[must_use]
 pub fn campaign_rows(
     rounds: u64,
     seed: u64,
     jobs: usize,
-    sim_threads: usize,
     filter: Option<&str>,
 ) -> Vec<CampaignRow> {
-    let tasks: Vec<(usize, &Scenario, Scheme)> = SCENARIOS
+    let tasks: Vec<(&Scenario, Scheme)> = SCENARIOS
         .iter()
         .filter(|sc| filter.is_none_or(|f| f == sc.name))
         .flat_map(|sc| CAMPAIGN_SCHEMES.into_iter().map(move |scheme| (sc, scheme)))
         .filter(|&(sc, scheme)| scheme_supports_redundancy(scheme, sc.m))
-        .enumerate()
-        .map(|(slot, (sc, scheme))| (slot, sc, scheme))
         .collect();
-    let workers = if jobs == 0 { tasks.len() } else { jobs }.clamp(1, tasks.len().max(1));
-    let results: Vec<Mutex<Option<CampaignRow>>> =
-        tasks.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(slot, scenario, scheme)) = tasks.get(i) else { break };
-                let cfg = campaign_config(scenario, scheme, rounds, seed, sim_threads);
-                // lint: allow(P001) the fixed campaign geometry always constructs
-                let sim = Simulator::new(cfg).expect("campaign geometry must construct");
-                let row = CampaignRow::from_metrics(scenario, scheme, &sim.run());
-                // lint: allow(P001) a poisoned slot means a worker already panicked
-                *results[slot].lock().expect("campaign worker panicked") = Some(row);
-            });
-        }
-    });
-    results
-        .into_iter()
-        // lint: allow(P001) a poisoned slot means a worker already panicked
-        .filter_map(|m| m.into_inner().expect("campaign worker panicked"))
-        .collect()
+    run_cells(&tasks, jobs, |&(scenario, scheme)| {
+        let cfg = campaign_config(scenario, scheme, rounds, seed);
+        // lint: allow(P001) the fixed campaign geometry always constructs
+        let sim = Simulator::new(cfg).expect("campaign geometry must construct");
+        CampaignRow::from_metrics(scenario, scheme, &sim.run())
+    })
 }
 
 /// Serializes rows as JSONL (one compact JSON object per line) — the
-/// campaign's on-disk and golden format.
+/// on-disk and golden format of both campaigns.
 ///
 /// # Panics
 ///
 /// Panics if serialization fails (plain data; it cannot).
 #[must_use]
-pub fn to_jsonl(rows: &[CampaignRow]) -> String {
+pub fn to_jsonl<T: Serialize>(rows: &[T]) -> String {
     let mut out = String::new();
     for row in rows {
         // lint: allow(P001) plain-data serialization cannot fail
@@ -363,22 +368,22 @@ mod tests {
 
     #[test]
     fn filter_restricts_to_one_scenario() {
-        let rows = campaign_rows(60, 7, 0, 1, Some("transient_blip"));
+        let rows = campaign_rows(60, 7, 0, Some("transient_blip"));
         assert_eq!(rows.len(), CAMPAIGN_SCHEMES.len());
         assert!(rows.iter().all(|r| r.scenario == "transient_blip"));
     }
 
     #[test]
     fn jobs_do_not_change_rows() {
-        let seq = campaign_rows(60, 7, 1, 1, Some("double_failure_same_group"));
-        let par = campaign_rows(60, 7, 8, 1, Some("double_failure_same_group"));
+        let seq = campaign_rows(60, 7, 1, Some("double_failure_same_group"));
+        let par = campaign_rows(60, 7, 8, Some("double_failure_same_group"));
         assert_eq!(seq, par);
         assert_eq!(to_jsonl(&seq), to_jsonl(&par));
     }
 
     #[test]
     fn jsonl_round_trips() {
-        let rows = campaign_rows(60, 7, 0, 1, Some("slow_disk"));
+        let rows = campaign_rows(60, 7, 0, Some("slow_disk"));
         let text = to_jsonl(&rows);
         let back: Vec<CampaignRow> = text
             .lines()

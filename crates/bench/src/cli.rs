@@ -1,11 +1,13 @@
 //! Shared command-line parsing for the bench binaries.
 //!
 //! Every binary in `src/bin/` takes the same small flag set (`--json`,
-//! `--rounds`, `--seed`, `--threads`, `--trace`, `--trace-rounds`); this
-//! module parses it once so the binaries stop copy-pasting positional
-//! scans. Parsing is infallible by design — a malformed value falls back
-//! to the binary's default, matching the previous behaviour of the
-//! hand-rolled scanners.
+//! `--rounds`, `--seed`, `--trace`, `--trace-rounds`); this module
+//! parses it once so the binaries stop copy-pasting positional scans.
+//! Parsing is infallible by design — a malformed value falls back to the
+//! binary's default, matching the previous behaviour of the hand-rolled
+//! scanners. There is no thread-count flag: the harness runs every
+//! engine at one thread (DESIGN.md §5), and `--jobs` on the campaign
+//! binaries is its only unit of parallelism.
 
 use std::path::PathBuf;
 
@@ -18,10 +20,16 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses the process arguments (skipping `argv[0]`).
+    /// Parses the process arguments (skipping `argv[0]`). A leftover
+    /// `--threads` exits through [`fail`] rather than being silently
+    /// ignored, since no binary can honour it.
     #[must_use]
     pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
+        let args = Self::from_args(std::env::args().skip(1));
+        if args.flag("--threads") {
+            fail("cms-bench", "--threads is not accepted: engines run at one thread");
+        }
+        args
     }
 
     /// Parses an explicit argument list — the testable entry point.
@@ -73,12 +81,6 @@ impl BenchArgs {
         self.u64_value("--seed").unwrap_or(default)
     }
 
-    /// `--threads T` (0 = available parallelism, 1 = sequential).
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.u64_value("--threads").unwrap_or(0) as usize
-    }
-
     /// `--trace PATH`: trace export destination, if requested.
     #[must_use]
     pub fn trace_path(&self) -> Option<PathBuf> {
@@ -108,6 +110,20 @@ impl BenchArgs {
         }
     }
 
+    /// Writes `text` to `--out PATH`, or to stdout without `--out`. An
+    /// unwritable path exits through [`fail`].
+    pub fn emit(&self, bin: &str, text: &str, rows: usize) {
+        match self.value("--out") {
+            Some(path) => {
+                if let Err(e) = std::fs::write(path, text) {
+                    fail(bin, format_args!("cannot write {path}: {e}"));
+                }
+                eprintln!("{bin}: wrote {rows} rows to {path}");
+            }
+            None => print!("{text}"),
+        }
+    }
+
     /// For analytic-only binaries: warns on stderr when `--trace` was
     /// passed but the binary runs no simulation to trace.
     pub fn warn_if_trace_unused(&self, bin: &str) {
@@ -117,6 +133,14 @@ impl BenchArgs {
     }
 }
 
+/// Prints `{bin}: {msg}` on stderr and exits with status 2 — the bench
+/// binaries' answer to bad outside input (an unknown scenario name, an
+/// unwritable output path) instead of a panic.
+pub fn fail(bin: &str, msg: impl std::fmt::Display) -> ! {
+    eprintln!("{bin}: {msg}");
+    std::process::exit(2)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,16 +148,14 @@ mod tests {
 
     #[test]
     fn flags_and_values_parse() {
-        let a = BenchArgs::from_args(["--json", "--rounds", "90", "--seed", "7", "--threads", "2"]);
+        let a = BenchArgs::from_args(["--json", "--rounds", "90", "--seed", "7"]);
         assert!(a.json());
         assert_eq!(a.rounds_or(600), 90);
         assert_eq!(a.seed_or(1), 7);
-        assert_eq!(a.threads(), 2);
         // Defaults apply when absent or malformed.
         let b = BenchArgs::from_args(["--rounds", "not-a-number"]);
         assert!(!b.json());
         assert_eq!(b.rounds_or(600), 600);
-        assert_eq!(b.threads(), 0);
     }
 
     #[test]

@@ -5,19 +5,18 @@
 //! gateway knobs, run on an 8-node cluster of the engine test geometry
 //! (d = 8, p = 4, q = 8, f = 2 per node) so a full sweep finishes in
 //! seconds. Rows are emitted in fixed scenario order and every
-//! simulation is bit-identical at any `--jobs`/`--threads` setting, so
-//! the output diffs byte-for-byte against the committed golden
+//! simulation is bit-identical at any `--jobs` setting, so the output
+//! diffs byte-for-byte against the committed golden
 //! (`crates/bench/goldens/cluster_campaign.jsonl`) — CI's
 //! `cluster-campaign` job does exactly that at `--jobs 1` and
-//! `--jobs 8 --threads 4`.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! `--jobs 8`.
 
 use cms_cluster::{ClusterConfig, ClusterMetrics, ClusterSim};
 use cms_core::Scheme;
 use cms_sim::{FaultSchedule, SimConfig};
 use serde::{Deserialize, Serialize};
+
+use crate::campaign::run_cells;
 
 /// One canned cluster scenario: a node-scoped schedule spec plus the
 /// gateway knobs that make its failure mode observable.
@@ -93,9 +92,8 @@ pub const CLUSTER_SCENARIOS: [ClusterScenario; 5] = [
 /// The opt-in cluster-scale stressor: a 48-node cluster under an
 /// arrival flood, run only when `--scenario giant` asks for it (the
 /// default sweep and its committed golden stay the canned 8-node five).
-/// It rides the same work-stealing runner as the sweep, so `--jobs`
-/// settings are exercised at scale; rows remain bit-identical at any
-/// `--jobs`/`--threads` combination.
+/// It rides the same cell runner as the sweep, so `--jobs` settings are
+/// exercised at scale; rows remain bit-identical at any `--jobs`.
 pub const GIANT_CLUSTER_SCENARIO: ClusterScenario = ClusterScenario {
     name: "giant",
     spec: "",
@@ -170,7 +168,7 @@ impl ClusterCampaignRow {
 
 /// Builds the cluster config for one campaign scenario:
 /// `scenario.nodes` nodes of the engine test geometry behind the
-/// gateway.
+/// gateway, stepped on one thread.
 ///
 /// # Panics
 ///
@@ -180,7 +178,6 @@ pub fn cluster_campaign_config(
     scenario: &ClusterScenario,
     rounds: u64,
     seed: u64,
-    threads: usize,
 ) -> ClusterConfig {
     let node = SimConfig {
         scheme: Scheme::DeclusteredParity,
@@ -224,104 +221,69 @@ pub fn cluster_campaign_config(
         rebuild_fanout: 2,
         faults,
         seed,
-        threads,
+        threads: 1,
         trace: cms_trace::TraceSpec::off(),
     }
 }
 
 /// Runs the cluster campaign: every scenario, `jobs` runs in flight at
-/// once (0 = one per task), each cluster's node loop at `sim_threads`.
-/// Rows come back in fixed scenario order and are bit-identical at any
-/// `jobs`/`sim_threads` setting. `filter` restricts to one scenario.
+/// once (0 = one per task). Rows come back in fixed scenario order and
+/// are bit-identical at any `jobs` setting. `filter` restricts to one
+/// scenario.
 #[must_use]
 pub fn cluster_campaign_rows(
     rounds: u64,
     seed: u64,
     jobs: usize,
-    sim_threads: usize,
     filter: Option<&str>,
 ) -> Vec<ClusterCampaignRow> {
-    let tasks: Vec<(usize, &ClusterScenario)> = CLUSTER_SCENARIOS
+    let tasks: Vec<&ClusterScenario> = CLUSTER_SCENARIOS
         .iter()
         // The giant stressor is opt-in: it joins the task list only when
         // named, so the default sweep (and its golden) stays the canned
         // 8-node five.
         .chain(std::iter::once(&GIANT_CLUSTER_SCENARIO).filter(|_| filter == Some("giant")))
         .filter(|sc| filter.is_none_or(|f| f == sc.name))
-        .enumerate()
         .collect();
-    let workers = if jobs == 0 { tasks.len() } else { jobs }.clamp(1, tasks.len().max(1));
-    let results: Vec<Mutex<Option<ClusterCampaignRow>>> =
-        tasks.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(slot, scenario)) = tasks.get(i) else { break };
-                let cfg = cluster_campaign_config(scenario, rounds, seed, sim_threads);
-                let nodes = cfg.nodes;
-                // lint: allow(P001) the fixed campaign geometry always constructs
-                let sim = ClusterSim::new(cfg).expect("campaign cluster must construct");
-                let run = sim.run();
-                let row = ClusterCampaignRow::from_metrics(scenario, nodes, &run.metrics);
-                // lint: allow(P001) a poisoned slot means a worker already panicked
-                *results[slot].lock().expect("campaign worker panicked") = Some(row);
-            });
-        }
-    });
-    results
-        .into_iter()
-        // lint: allow(P001) a poisoned slot means a worker already panicked
-        .filter_map(|m| m.into_inner().expect("campaign worker panicked"))
-        .collect()
-}
-
-/// Serializes rows as JSONL — the campaign's on-disk and golden format.
-///
-/// # Panics
-///
-/// Panics if serialization fails (plain data; it cannot).
-#[must_use]
-pub fn cluster_to_jsonl(rows: &[ClusterCampaignRow]) -> String {
-    let mut out = String::new();
-    for row in rows {
-        // lint: allow(P001) plain-data serialization cannot fail
-        out.push_str(&serde_json::to_string(row).expect("serializable"));
-        out.push('\n');
-    }
-    out
+    run_cells(&tasks, jobs, |&scenario| {
+        let cfg = cluster_campaign_config(scenario, rounds, seed);
+        let nodes = cfg.nodes;
+        // lint: allow(P001) the fixed campaign geometry always constructs
+        let sim = ClusterSim::new(cfg).expect("campaign cluster must construct");
+        ClusterCampaignRow::from_metrics(scenario, nodes, &sim.run().metrics)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::to_jsonl;
 
     #[test]
     fn scenario_specs_parse_and_validate_for_the_cluster() {
         for sc in &CLUSTER_SCENARIOS {
-            let cfg = cluster_campaign_config(sc, 60, 7, 1);
+            let cfg = cluster_campaign_config(sc, 60, 7);
             cfg.validate().expect(sc.name);
         }
     }
 
     #[test]
-    fn jobs_and_threads_do_not_change_rows() {
-        let seq = cluster_campaign_rows(60, 7, 1, 1, Some("fail_migrate_rebuild"));
-        let par = cluster_campaign_rows(60, 7, 8, 4, Some("fail_migrate_rebuild"));
+    fn jobs_do_not_change_rows() {
+        let seq = cluster_campaign_rows(60, 7, 1, Some("fail_migrate_rebuild"));
+        let par = cluster_campaign_rows(60, 7, 8, Some("fail_migrate_rebuild"));
         assert_eq!(seq, par);
-        assert_eq!(cluster_to_jsonl(&seq), cluster_to_jsonl(&par));
+        assert_eq!(to_jsonl(&seq), to_jsonl(&par));
     }
 
     #[test]
     fn giant_is_opt_in_and_jobs_invariant() {
         // Not part of the default sweep…
-        let rows = cluster_campaign_rows(20, 7, 0, 1, None);
+        let rows = cluster_campaign_rows(20, 7, 0, None);
         assert!(rows.iter().all(|r| r.scenario != "giant"));
-        // …but runs through the same work-stealing runner when named,
-        // with rows identical at any jobs/threads combination.
-        let seq = cluster_campaign_rows(60, 7, 1, 1, Some("giant"));
-        let par = cluster_campaign_rows(60, 7, 8, 4, Some("giant"));
+        // …but runs through the same cell runner when named, with rows
+        // identical at any jobs setting.
+        let seq = cluster_campaign_rows(60, 7, 1, Some("giant"));
+        let par = cluster_campaign_rows(60, 7, 8, Some("giant"));
         assert_eq!(seq, par);
         assert_eq!(seq.len(), 1);
         assert_eq!(seq[0].nodes, 48);
@@ -331,7 +293,7 @@ mod tests {
 
     #[test]
     fn scenarios_show_their_failure_modes() {
-        let rows = cluster_campaign_rows(120, 7, 0, 1, None);
+        let rows = cluster_campaign_rows(120, 7, 0, None);
         assert_eq!(rows.len(), CLUSTER_SCENARIOS.len());
         let by_name = |n: &str| rows.iter().find(|r| r.scenario == n).expect(n);
         assert_eq!(by_name("steady").migrations, 0);
@@ -350,8 +312,8 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips() {
-        let rows = cluster_campaign_rows(60, 7, 0, 1, Some("steady"));
-        let text = cluster_to_jsonl(&rows);
+        let rows = cluster_campaign_rows(60, 7, 0, Some("steady"));
+        let text = to_jsonl(&rows);
         let back: Vec<ClusterCampaignRow> = text
             .lines()
             .map(|l| serde_json::from_str(l).expect("valid JSONL"))

@@ -80,28 +80,12 @@ pub struct Fig6Row {
 
 /// Generates Figure 6: the simulated experiment of §8.2 (1000 clips × 50
 /// rounds, Poisson λ = 20 arrivals, uniform clip choice, 600 rounds) for
-/// every scheme and parity group size, both buffer sizes. Runs the disk
-/// service loop at the machine's available parallelism; rows are
-/// identical at any thread count.
+/// every scheme and parity group size, both buffer sizes. With tracing
+/// on, each `(buffer, scheme, p)` run exports to its own file derived
+/// from the spec's path via [`TraceSpec::labeled`]; pass
+/// [`TraceSpec::off`] to trace nothing.
 #[must_use]
-pub fn fig6_rows(rounds: u64, seed: u64) -> Vec<Fig6Row> {
-    fig6_rows_threaded(rounds, seed, 0)
-}
-
-/// [`fig6_rows`] with an explicit disk-service thread count (`0` = auto,
-/// `1` = sequential). The thread count only affects wall-clock time — the
-/// returned rows are bit-identical at every setting.
-#[must_use]
-pub fn fig6_rows_threaded(rounds: u64, seed: u64, threads: usize) -> Vec<Fig6Row> {
-    fig6_rows_traced(rounds, seed, threads, &TraceSpec::off())
-}
-
-/// [`fig6_rows_threaded`] with event tracing. Each `(buffer, scheme, p)`
-/// run exports to its own file derived from the spec's path via
-/// [`TraceSpec::labeled`]; traces follow the same determinism contract as
-/// the metrics (byte-identical at any thread count).
-#[must_use]
-pub fn fig6_rows_traced(rounds: u64, seed: u64, threads: usize, trace: &TraceSpec) -> Vec<Fig6Row> {
+pub fn fig6_rows(rounds: u64, seed: u64, trace: &TraceSpec) -> Vec<Fig6Row> {
     let mut rows = Vec::new();
     // Block sizing must also respect storage: 1000 clips × 50 blocks plus
     // headroom for the start-jitter padding.
@@ -113,7 +97,7 @@ pub fn fig6_rows_traced(rounds: u64, seed: u64, threads: usize, trace: &TraceSpe
                 let Ok(point) = sim_point(scheme, &input, p, seed) else {
                     continue;
                 };
-                let mut cfg = SimConfig::sigmod96(scheme, &point, PAPER_D).with_threads(threads);
+                let mut cfg = SimConfig::sigmod96(scheme, &point, PAPER_D);
                 cfg.rounds = rounds;
                 cfg.seed = seed;
                 cfg.trace = trace.labeled(&format!("{label}-{scheme:?}-p{p}"));
@@ -212,29 +196,11 @@ pub struct DrillRow {
 /// group size, kill a disk mid-run with verification enabled. Schemes 1–5
 /// must report zero hiccups and zero parity mismatches; the non-clustered
 /// baseline is expected to hiccup under saturation (the §7.4 caveat).
-#[must_use]
-pub fn failure_drill(rounds: u64, seed: u64) -> Vec<DrillRow> {
-    failure_drill_threaded(rounds, seed, 0)
-}
-
-/// [`failure_drill`] with an explicit disk-service thread count (`0` =
-/// auto, `1` = sequential); metrics are bit-identical at every setting.
-#[must_use]
-pub fn failure_drill_threaded(rounds: u64, seed: u64, threads: usize) -> Vec<DrillRow> {
-    failure_drill_traced(rounds, seed, threads, &TraceSpec::off())
-}
-
-/// [`failure_drill_threaded`] with event tracing. Each scheme's run
+/// With tracing on, each scheme's failure→recovery→rebuild event stream
 /// exports to its own file derived from the spec's path via
-/// [`TraceSpec::labeled`]; the exported failure→recovery→rebuild event
-/// stream is byte-identical at any thread count.
+/// [`TraceSpec::labeled`]; pass [`TraceSpec::off`] to trace nothing.
 #[must_use]
-pub fn failure_drill_traced(
-    rounds: u64,
-    seed: u64,
-    threads: usize,
-    trace: &TraceSpec,
-) -> Vec<DrillRow> {
+pub fn failure_drill(rounds: u64, seed: u64, trace: &TraceSpec) -> Vec<DrillRow> {
     let input = ModelInput::sigmod96(mib(256)).with_storage_blocks(1000 * 50 * 3 / 2);
     let mut rows = Vec::new();
     for scheme in Scheme::ALL {
@@ -244,8 +210,7 @@ pub fn failure_drill_traced(
         };
         let mut cfg = SimConfig::sigmod96(scheme, &point, PAPER_D)
             .with_failure(rounds / 3, DiskId(5))
-            .with_verification()
-            .with_threads(threads);
+            .with_verification();
         cfg.rounds = rounds;
         cfg.seed = seed;
         cfg.trace = trace.labeled(&format!("{scheme:?}-p{p}"));
@@ -325,7 +290,7 @@ mod tests {
 
     #[test]
     fn short_failure_drill_upholds_guarantees() {
-        for row in failure_drill(90, 3) {
+        for row in failure_drill(90, 3, &TraceSpec::off()) {
             assert_eq!(row.metrics.parity_mismatches, 0, "{}", row.scheme);
             if row.scheme != Scheme::NonClustered {
                 assert_eq!(row.metrics.hiccups, 0, "{}", row.scheme);

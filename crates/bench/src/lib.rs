@@ -18,15 +18,14 @@ pub mod cluster_campaign;
 pub mod figures;
 pub mod timeline;
 
-pub use campaign::{campaign_rows, CampaignRow, Scenario, CAMPAIGN_SCHEMES, SCENARIOS};
+pub use campaign::{campaign_rows, to_jsonl, CampaignRow, Scenario, CAMPAIGN_SCHEMES, SCENARIOS};
 pub use cluster_campaign::{
-    cluster_campaign_config, cluster_campaign_rows, cluster_to_jsonl, ClusterCampaignRow,
-    ClusterScenario, CLUSTER_SCENARIOS, GIANT_CLUSTER_SCENARIO,
+    cluster_campaign_config, cluster_campaign_rows, ClusterCampaignRow, ClusterScenario,
+    CLUSTER_SCENARIOS, GIANT_CLUSTER_SCENARIO,
 };
 pub use cli::BenchArgs;
 pub use timeline::render_timeline;
 pub use figures::{
-    failure_drill, failure_drill_threaded, failure_drill_traced, fig5_rows, fig6_rows,
-    fig6_rows_threaded, fig6_rows_traced, optimal_rows, q_table_rows, sim_point, DrillRow,
-    Fig5Row, Fig6Row, OptimalRow, QRow, PAPER_BUFFERS, PAPER_D, PAPER_PS,
+    failure_drill, fig5_rows, fig6_rows, optimal_rows, q_table_rows, sim_point, DrillRow, Fig5Row,
+    Fig6Row, OptimalRow, QRow, PAPER_BUFFERS, PAPER_D, PAPER_PS,
 };

@@ -2,19 +2,18 @@
 //! goldens (`crates/bench/goldens/drill_trace.*.jsonl`).
 //!
 //! The goldens were exported by the pre-SoA, map-based engine
-//! (`failure_drill --rounds 90 --threads 1 --trace drill_trace.jsonl
-//! --trace-rounds 24`), so this test pins the stream-table refactor — and
+//! (`failure_drill --rounds 90 --trace drill_trace.jsonl
+//! --trace-rounds 24`, engines at one thread), so this test pins the stream-table refactor — and
 //! any future hot-path change — to the exact observable event stream of
 //! the original implementation: admission order, EDF drain order,
 //! recovery scheduling, reconstruction completions, every round, every
 //! scheme. Thread-count invariance of the same export is covered by
-//! `trace_determinism` and CI's t1-vs-t8 diff; this test anchors the
-//! *content*.
+//! `trace_determinism`; this test anchors the *content*.
 
 use std::fs;
 use std::path::Path;
 
-use cms_bench::failure_drill_traced;
+use cms_bench::failure_drill;
 use cms_sim::TraceSpec;
 
 const SCHEMES: [&str; 6] = [
@@ -34,7 +33,7 @@ fn drill_trace_export_matches_committed_goldens() {
 
     // The exact invocation that produced the goldens.
     let spec = TraceSpec::jsonl(out_dir.join("drill_trace.jsonl")).with_last_rounds(24);
-    let rows = failure_drill_traced(90, 0x0DEA_D15C, 1, &spec);
+    let rows = failure_drill(90, 0x0DEA_D15C, &spec);
     assert_eq!(rows.len(), SCHEMES.len(), "every scheme must run");
 
     for scheme in SCHEMES {

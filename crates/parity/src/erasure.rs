@@ -19,6 +19,7 @@
 use crate::block::Block;
 use crate::codec;
 use crate::gf256;
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Errors from erasure-codec operations. Every misuse — including more
@@ -128,6 +129,32 @@ pub trait ErasureCodec {
         out: &mut Block,
     ) -> Result<(), ErasureError>;
 
+    /// [`ErasureCodec::encode_into`] over one contiguous `k + m` shard
+    /// slice (data first, then redundancy, buffers reused). Lets callers
+    /// that pool all shards in a single `Vec<Block>` encode without
+    /// building a `&[&Block]` table — fully allocation-free.
+    ///
+    /// # Errors
+    ///
+    /// [`ErasureError`] on slice-length or shard-length mismatch.
+    fn encode_within(&mut self, shards: &mut [Block]) -> Result<(), ErasureError>;
+
+    /// [`ErasureCodec::reconstruct_into`] over one contiguous `k + m`
+    /// shard slice: rebuilds shard `missing` from the other entries (the
+    /// content at `shards[missing]` is ignored). The allocation-free twin
+    /// of the pair-based path for callers that pool all shards.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ErasureCodec::reconstruct_into`], plus
+    /// [`ErasureError::BadGeometry`] on a slice-length mismatch.
+    fn reconstruct_within(
+        &mut self,
+        shards: &[Block],
+        missing: usize,
+        out: &mut Block,
+    ) -> Result<(), ErasureError>;
+
     /// Allocating convenience wrapper over [`ErasureCodec::encode_into`].
     ///
     /// # Errors
@@ -226,6 +253,32 @@ impl ErasureCodec for XorCodec {
             return Err(ErasureError::TooManyErasures { survivors: distinct, needed: self.k });
         }
         codec::reconstruct_into(out, present.iter().map(|&(_, b)| b))?;
+        Ok(())
+    }
+
+    fn encode_within(&mut self, shards: &mut [Block]) -> Result<(), ErasureError> {
+        if shards.len() != self.k + 1 {
+            return Err(ErasureError::BadGeometry { reason: "shard slice length != k + m" });
+        }
+        let (data, parity) = shards.split_at_mut(self.k);
+        codec::parity_into(&mut parity[0], data.iter())?;
+        Ok(())
+    }
+
+    fn reconstruct_within(
+        &mut self,
+        shards: &[Block],
+        missing: usize,
+        out: &mut Block,
+    ) -> Result<(), ErasureError> {
+        if shards.len() != self.k + 1 {
+            return Err(ErasureError::BadGeometry { reason: "shard slice length != k + m" });
+        }
+        if missing >= shards.len() {
+            return Err(ErasureError::BadShardIndex { index: missing, shards: shards.len() });
+        }
+        let survivors = shards.iter().enumerate().filter(|&(i, _)| i != missing);
+        codec::reconstruct_into(out, survivors.map(|(_, b)| b))?;
         Ok(())
     }
 }
@@ -379,6 +432,48 @@ impl RsCodec {
         }
         Ok(())
     }
+
+    /// Fills the `m` redundancy shards from `k` equal-length data shards
+    /// (`&Block` or `Block` — the pair-based and pooled paths share it).
+    fn encode_parity<B: Borrow<Block>>(
+        &self,
+        data: &[B],
+        parity: &mut [Block],
+    ) -> Result<(), ErasureError> {
+        let shard = |c: usize| -> &Block { data[c].borrow() };
+        let len = shard(0).len();
+        if let Some(d) = (0..self.k).map(shard).find(|d| d.len() != len) {
+            return Err(ErasureError::LengthMismatch { expected: len, got: d.len() });
+        }
+        for (r, p) in parity.iter_mut().enumerate() {
+            p.fill_zero(len);
+            for c in 0..self.k {
+                // lint: hot
+                gf256::mul_slice_xor(p.bytes_mut(), shard(c).bytes(), self.cauchy[r * self.k + c]);
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes into `out` the combination, by the coefficients
+    /// [`Self::solve_coefficients`] left behind, of the chosen survivors;
+    /// `survivor` maps a `(position, shard index)` pair to its block.
+    fn combine<'a>(
+        &self,
+        survivor: impl Fn((usize, usize)) -> &'a Block,
+        out: &mut Block,
+    ) -> Result<(), ErasureError> {
+        let len = survivor(self.sel[0]).len();
+        if let Some(b) = self.sel.iter().map(|&s| survivor(s)).find(|b| b.len() != len) {
+            return Err(ErasureError::LengthMismatch { expected: len, got: b.len() });
+        }
+        out.fill_zero(len);
+        for (j, &s) in self.sel.iter().enumerate() {
+            // lint: hot
+            gf256::mul_slice_xor(out.bytes_mut(), survivor(s).bytes(), self.coeff[j]);
+        }
+        Ok(())
+    }
 }
 
 impl ErasureCodec for RsCodec {
@@ -397,20 +492,7 @@ impl ErasureCodec for RsCodec {
         if parity.len() != self.m {
             return Err(ErasureError::BadGeometry { reason: "parity shard count != m" });
         }
-        let len = data[0].len();
-        for d in data {
-            if d.len() != len {
-                return Err(ErasureError::LengthMismatch { expected: len, got: d.len() });
-            }
-        }
-        for (r, p) in parity.iter_mut().enumerate() {
-            p.fill_zero(len);
-            for (c, d) in data.iter().enumerate() {
-                // lint: hot
-                gf256::mul_slice_xor(p.bytes_mut(), d.bytes(), self.cauchy[r * self.k + c]);
-            }
-        }
-        Ok(())
+        self.encode_parity(data, parity)
     }
 
     fn reconstruct_into(
@@ -420,64 +502,18 @@ impl ErasureCodec for RsCodec {
         out: &mut Block,
     ) -> Result<(), ErasureError> {
         self.solve_coefficients(present.iter().map(|&(idx, _)| idx), missing)?;
-        let len = present[self.sel[0].0].1.len();
-        for &(pos, _) in &self.sel {
-            if present[pos].1.len() != len {
-                return Err(ErasureError::LengthMismatch {
-                    expected: len,
-                    got: present[pos].1.len(),
-                });
-            }
-        }
-        out.fill_zero(len);
-        for (j, &(pos, _)) in self.sel.iter().enumerate() {
-            // lint: hot
-            gf256::mul_slice_xor(out.bytes_mut(), present[pos].1.bytes(), self.coeff[j]);
-        }
-        Ok(())
+        self.combine(|(pos, _)| present[pos].1, out)
     }
-}
 
-impl RsCodec {
-    /// [`ErasureCodec::encode_into`] over one contiguous `k + m` shard
-    /// slice (data first, then redundancy, buffers reused). Lets callers
-    /// that pool all shards in a single `Vec<Block>` encode without
-    /// building a `&[&Block]` table — fully allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// [`ErasureError`] on slice-length or shard-length mismatch.
-    pub fn encode_within(&mut self, shards: &mut [Block]) -> Result<(), ErasureError> {
+    fn encode_within(&mut self, shards: &mut [Block]) -> Result<(), ErasureError> {
         if shards.len() != self.k + self.m {
             return Err(ErasureError::BadGeometry { reason: "shard slice length != k + m" });
         }
         let (data, parity) = shards.split_at_mut(self.k);
-        let len = data[0].len();
-        for d in data.iter() {
-            if d.len() != len {
-                return Err(ErasureError::LengthMismatch { expected: len, got: d.len() });
-            }
-        }
-        for (r, p) in parity.iter_mut().enumerate() {
-            p.fill_zero(len);
-            for (c, d) in data.iter().enumerate() {
-                // lint: hot
-                gf256::mul_slice_xor(p.bytes_mut(), d.bytes(), self.cauchy[r * self.k + c]);
-            }
-        }
-        Ok(())
+        self.encode_parity(data, parity)
     }
 
-    /// [`ErasureCodec::reconstruct_into`] over one contiguous `k + m`
-    /// shard slice: rebuilds shard `missing` from the other entries (the
-    /// content at `shards[missing]` is ignored). The allocation-free twin
-    /// of the pair-based path for callers that pool all shards.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ErasureCodec::reconstruct_into`], plus
-    /// [`ErasureError::BadGeometry`] on a slice-length mismatch.
-    pub fn reconstruct_within(
+    fn reconstruct_within(
         &mut self,
         shards: &[Block],
         missing: usize,
@@ -487,21 +523,7 @@ impl RsCodec {
             return Err(ErasureError::BadGeometry { reason: "shard slice length != k + m" });
         }
         self.solve_coefficients((0..shards.len()).filter(|&i| i != missing), missing)?;
-        let len = shards[self.sel[0].1].len();
-        for &(_, idx) in &self.sel {
-            if shards[idx].len() != len {
-                return Err(ErasureError::LengthMismatch {
-                    expected: len,
-                    got: shards[idx].len(),
-                });
-            }
-        }
-        out.fill_zero(len);
-        for (j, &(_, idx)) in self.sel.iter().enumerate() {
-            // lint: hot
-            gf256::mul_slice_xor(out.bytes_mut(), shards[idx].bytes(), self.coeff[j]);
-        }
-        Ok(())
+        self.combine(|(_, idx)| &shards[idx], out)
     }
 }
 

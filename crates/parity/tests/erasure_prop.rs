@@ -123,6 +123,7 @@ proptest! {
         blocks in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..200), 1..9),
         len in 0usize..200,
         missing_sel in any::<prop::sample::Index>(),
+        scribble in any::<u64>(),
     ) {
         let data: Vec<Block> = blocks
             .into_iter()
@@ -153,6 +154,18 @@ proptest! {
         let legacy = reconstruct(&legacy_refs).unwrap();
         let traited = codec.reconstruct(&survivors, missing).unwrap();
         prop_assert_eq!(traited.bytes(), legacy.bytes());
+
+        // The contiguous-pool paths agree too, whatever garbage sits in
+        // the parity slot before encoding or in the missing slot before
+        // decoding.
+        let mut pool = full.clone();
+        pool[k].fill_synthetic(scribble, 0, len);
+        codec.encode_within(&mut pool).unwrap();
+        prop_assert_eq!(pool[k].bytes(), full[k].bytes());
+        pool[missing].fill_synthetic(scribble, 1, len);
+        let mut within = Block::default();
+        codec.reconstruct_within(&pool, missing, &mut within).unwrap();
+        prop_assert_eq!(within.bytes(), legacy.bytes());
     }
 
     #[test]

@@ -47,7 +47,7 @@ impl CmServerBuilder {
             seed: 0xCAFE,
             verify_parity: false,
             auto_rebuild: false,
-            threads: 0,
+            threads: 1,
             trace: TraceSpec::off(),
         }
     }
@@ -114,9 +114,9 @@ impl CmServerBuilder {
         self
     }
 
-    /// Sets the disk-service worker thread count (`0` = available
-    /// parallelism, `1` = sequential). A wall-clock knob only: results
-    /// are bit-identical at every setting.
+    /// Sets the disk-service worker thread count (`1`, the default, =
+    /// sequential; `0` = available parallelism). A wall-clock knob only:
+    /// results are bit-identical at every setting.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;

@@ -82,9 +82,9 @@ pub struct SimConfig {
     /// client and recovery reads). When the last block is rebuilt the
     /// array returns to normal operation.
     pub auto_rebuild: bool,
-    /// Worker threads for the per-round disk service loop. `0` (the
-    /// default) uses the machine's available parallelism; `1` services
-    /// disks sequentially on the calling thread. Results are
+    /// Worker threads for the per-round disk service loop. `1` (the
+    /// default) services disks sequentially on the calling thread; `0`
+    /// uses the machine's available parallelism. Results are
     /// bit-identical at any thread count — per-disk accounting is
     /// computed locally and merged in disk-ID order (see DESIGN.md's
     /// determinism contract).
@@ -124,7 +124,7 @@ impl SimConfig {
             admission_scan: 64,
             aging_limit: 200,
             auto_rebuild: false,
-            threads: 0,
+            threads: 1,
             trace: TraceSpec::off(),
         }
     }

@@ -13,7 +13,7 @@ use cms_core::{ClipId, CmsError, DiskId, DiskParams, RequestId, Round, Scheme};
 use cms_disk::{BlockRequest, Disk, DiskArray, RoundOutcome, ServiceContext, TimingModel};
 use cms_fault::FaultEvent;
 use cms_layout::{clustered, declustered, flat, BlockLocation, MaterializedLayout, StreamAddr};
-use cms_parity::{parity_into, reconstruct_into, Block, ErasureCodec, RsCodec};
+use cms_parity::{codec_for, Block, ErasureCodec};
 use cms_trace::{EventKind, TraceSink, TraceSummary, Tracer};
 use cms_workload::{Catalog, ClipChoice, ClipPlacement, PoissonArrivals};
 use std::collections::{BTreeMap, BTreeSet};
@@ -235,22 +235,21 @@ struct RebuildState {
     rebuilt: u64,
 }
 
-/// Reusable buffers for the parity-verification path: synthetic group
-/// content, the recomputed parity block and the reconstruction output.
-/// All blocks keep their capacity across verifications.
+/// Reusable state for the parity-verification path: the codecs, one
+/// contiguous `k + m` shard pool (data first, then redundancy), the
+/// reconstruction output and the expected content. All blocks keep their
+/// capacity across verifications.
 #[derive(Default)]
 struct VerifyScratch {
-    /// Synthetic content pool, one slot per data block of the group.
-    data: Vec<Block>,
-    parity: Block,
+    /// One codec from [`codec_for`] per `(k, m)` group geometry seen so
+    /// far. A layout has at most a few (flat and clustered layouts end in
+    /// a narrower terminal group when their block count is not a multiple
+    /// of `k`), so alternating between them never rebuilds a codec.
+    codecs: Vec<Box<dyn ErasureCodec + Send>>,
+    /// Synthetic content pool: `k` data shards, then `m` redundancy.
+    shards: Vec<Block>,
     rebuilt: Block,
     expect: Block,
-    /// Lazily built Reed–Solomon codec for `m ≥ 2` groups, reused while
-    /// the `(k, m)` geometry matches.
-    codec: Option<RsCodec>,
-    /// Contiguous `k + m` shard pool (data first, then redundancy) for
-    /// the `m ≥ 2` codec's allocation-free `_within` paths.
-    shards: Vec<Block>,
 }
 
 /// Engine-level reusable buffers for the per-round pipeline
@@ -1684,8 +1683,7 @@ impl Simulator {
         // Additional lost blocks (`m ≥ 2` with multiple failures in one
         // cluster) each get their own reconstruction stream: dedicated
         // recovery reads of the same survivors, accounted per block.
-        for li in 1..lost.len() {
-            let idx = lost[li];
+        for &idx in lost.iter().skip(1) {
             let needed = self.table.consume_round(slot, idx, scheme, span);
             for &(_, h_loc) in &healthy {
                 self.push_fetch(Fetch {
@@ -2062,11 +2060,13 @@ impl Simulator {
     }
 
     /// Byte-level check: the group's codec — XOR for `m = 1`, GF(256)
-    /// Reed–Solomon for `m ≥ 2` — reproduces the synthetic content of
-    /// the lost block from its survivors. All block buffers come from
-    /// `scratch` and are refilled in place — no allocation once the pool
-    /// has grown to the group size (DESIGN.md §7); the RS arm keeps its
-    /// codec while the `(k, m)` geometry is stable.
+    /// Reed–Solomon for `m ≥ 2`, as [`codec_for`] picks — re-encodes the
+    /// group's synthetic content and reproduces the lost block from its
+    /// survivors. All block buffers come from `scratch` and are refilled
+    /// in place, and each geometry's codec is built once — no allocation
+    /// once the pool has grown (DESIGN.md §7). A group that cannot
+    /// encode (unequal block lengths) or decode reports a mismatch
+    /// instead of panicking mid-delivery.
     fn verify_reconstruction(
         &self,
         scratch: &mut VerifyScratch,
@@ -2078,62 +2078,31 @@ impl Simulator {
         let n = self.cfg.content_bytes;
         let k = group.data.len();
         let m = group.redundancy();
-        let VerifyScratch { data, parity, rebuilt, expect, codec, shards } = scratch;
-        let decoded = if m == 1 {
-            if data.len() < k {
-                data.resize_with(k, Block::default);
+        let VerifyScratch { codecs, shards, rebuilt, expect } = scratch;
+        let known = codecs.iter().position(|c| c.data_shards() == k && c.parity_shards() == m);
+        let at = match known {
+            Some(at) => at,
+            None => {
+                let Ok(c) = codec_for(k, m) else { return false };
+                codecs.push(c);
+                codecs.len() - 1
             }
-            let data = &mut data[..k];
-            // Synthetic content for every data block of the group.
-            for (slot, &a) in data.iter_mut().zip(&group.data) {
-                slot.fill_synthetic(u64::from(a.stream), a.index, n);
-            }
-            // Parity block content is the XOR of all the group's data
-            // blocks. A group that cannot produce parity (empty, or
-            // unequal block lengths) can never verify — report the
-            // mismatch instead of panicking mid-delivery.
-            if parity_into(parity, data.iter()).is_err() {
-                return false;
-            }
-            // Reconstruct from survivors: all data except the lost one,
-            // plus parity.
-            let survivors = group
-                .data
-                .iter()
-                .zip(data.iter())
-                .filter_map(|(&a, b)| (a != lost).then_some(b))
-                .chain(std::iter::once(&*parity));
-            reconstruct_into(rebuilt, survivors).is_ok()
-        } else {
-            // Reed–Solomon group: recompute all `m` redundancy shards in
-            // the pooled `k + m` slice, then decode the lost data shard
-            // from its siblings plus the shards — the same codec the
-            // multi-failure schemes pin. The contiguous `_within` paths
-            // keep this arm allocation-free once the pool has grown.
-            let stale = codec
-                .as_ref()
-                .is_none_or(|c| c.data_shards() != k || c.parity_shards() != m);
-            if stale {
-                let Ok(c) = RsCodec::new(k, m) else { return false };
-                *codec = Some(c);
-            }
-            let Some(rs) = codec.as_mut() else { return false };
-            if shards.len() < k + m {
-                shards.resize_with(k + m, Block::default);
-            }
-            let all = &mut shards[..k + m];
-            for (slot, &a) in all.iter_mut().zip(&group.data) {
-                slot.fill_synthetic(u64::from(a.stream), a.index, n);
-            }
-            if rs.encode_within(all).is_err() {
-                return false;
-            }
-            let Some(lost_idx) = group.data.iter().position(|&a| a == lost) else {
-                return false;
-            };
-            rs.reconstruct_within(all, lost_idx, rebuilt).is_ok()
         };
-        if !decoded {
+        let codec = &mut codecs[at];
+        if shards.len() < k + m {
+            shards.resize_with(k + m, Block::default);
+        }
+        let all = &mut shards[..k + m];
+        for (slot, &a) in all.iter_mut().zip(&group.data) {
+            slot.fill_synthetic(u64::from(a.stream), a.index, n);
+        }
+        if codec.encode_within(all).is_err() {
+            return false;
+        }
+        let Some(lost_idx) = group.data.iter().position(|&a| a == lost) else {
+            return false;
+        };
+        if codec.reconstruct_within(all, lost_idx, rebuilt).is_err() {
             return false;
         }
         expect.fill_synthetic(u64::from(lost.stream), lost.index, n);

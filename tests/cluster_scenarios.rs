@@ -24,7 +24,7 @@
 use std::sync::OnceLock;
 
 use cms_bench::{
-    cluster_campaign_config, cluster_campaign_rows, cluster_to_jsonl, render_timeline,
+    cluster_campaign_config, cluster_campaign_rows, render_timeline, to_jsonl,
     ClusterCampaignRow, CLUSTER_SCENARIOS,
 };
 use cms_cluster::ClusterSim;
@@ -34,7 +34,7 @@ use cms_trace::{JsonlSink, SharedBuffer};
 /// run per scenario. Shared across tests via `OnceLock`.
 fn sweep() -> &'static [ClusterCampaignRow] {
     static ROWS: OnceLock<Vec<ClusterCampaignRow>> = OnceLock::new();
-    ROWS.get_or_init(|| cluster_campaign_rows(120, 7, 0, 1, None))
+    ROWS.get_or_init(|| cluster_campaign_rows(120, 7, 0, None))
 }
 
 fn row(scenario: &str) -> &'static ClusterCampaignRow {
@@ -47,7 +47,7 @@ fn row(scenario: &str) -> &'static ClusterCampaignRow {
 #[test]
 fn cluster_sweep_matches_committed_golden() {
     let golden = include_str!("../crates/bench/goldens/cluster_campaign.jsonl");
-    let regenerated = cluster_to_jsonl(sweep());
+    let regenerated = to_jsonl(sweep());
     for (i, (want, got)) in golden.lines().zip(regenerated.lines()).enumerate() {
         assert_eq!(
             want, got,
@@ -94,7 +94,7 @@ fn timeline_node_lanes_match_committed_snapshot() {
         .iter()
         .find(|s| s.name == "fail_migrate_rebuild")
         .expect("canned scenario exists");
-    let cfg = cluster_campaign_config(scenario, 120, 7, 1);
+    let cfg = cluster_campaign_config(scenario, 120, 7);
     let mut sim = ClusterSim::new(cfg).expect("campaign cluster constructs");
     let buf = SharedBuffer::new();
     sim.set_trace_sink(Box::new(JsonlSink::new(buf.clone())));

@@ -27,7 +27,7 @@ use proptest::prelude::*;
 /// binary pays for the 15 simulations once.
 fn sweep() -> &'static [CampaignRow] {
     static ROWS: OnceLock<Vec<CampaignRow>> = OnceLock::new();
-    ROWS.get_or_init(|| campaign_rows(120, 7, 0, 1, None))
+    ROWS.get_or_init(|| campaign_rows(120, 7, 0, None))
 }
 
 /// The row for one (scenario, scheme) cell of the sweep.
@@ -154,7 +154,8 @@ fn rs2_double_failure_rebuild_completes_and_is_thread_invariant() {
         .find(|sc| sc.name == "double_disk_failure_rs2")
         .expect("rs2 scenario exists");
     let run = |threads: usize| {
-        let cfg = campaign_config(rs2, Scheme::PrefetchParityDisks, 400, 7, threads);
+        let mut cfg = campaign_config(rs2, Scheme::PrefetchParityDisks, 400, 7);
+        cfg.threads = threads;
         Simulator::new(cfg).expect("constructs").run()
     };
     let base = run(1);
@@ -186,7 +187,7 @@ fn rebuild_reads_spread_declustered_but_concentrate_clustered() {
     // seed-7 (8, 4) design), while rebuilding a clustered disk reads
     // only from the failed disk's own cluster (3 disks at p = 4).
     let run = |scheme| {
-        let mut cfg = campaign_config(&SCENARIOS[0], scheme, 300, 7, 1);
+        let mut cfg = campaign_config(&SCENARIOS[0], scheme, 300, 7);
         cfg.faults = Some(FaultSchedule::parse("@30 fail 1\n").expect("parses"));
         cfg.arrival_rate = 1.0;
         cfg.auto_rebuild = true;
@@ -233,7 +234,7 @@ fn rebuild_reads_spread_declustered_but_concentrate_clustered() {
 /// with a custom schedule and no degraded cap (so streams keep flowing
 /// and a buggy engine would have every chance to touch the down disk).
 fn invariant_cfg(scheme: Scheme, spec: &str, rounds: u64, seed: u64) -> SimConfig {
-    let mut cfg = campaign_config(&SCENARIOS[0], scheme, rounds, seed, 1);
+    let mut cfg = campaign_config(&SCENARIOS[0], scheme, rounds, seed);
     cfg.faults = Some(FaultSchedule::parse(spec).expect("spec parses"));
     cfg.arrival_rate = 3.0;
     cfg.degraded_admission = false;

@@ -7,6 +7,7 @@
 
 use cms_bench::{failure_drill, fig5_rows, fig6_rows, Fig6Row};
 use cms_core::Scheme;
+use cms_sim::TraceSpec;
 
 fn fig5_clips(buffer: &str, scheme: Scheme) -> Vec<(u32, u32)> {
     fig5_rows()
@@ -138,7 +139,7 @@ fn claim_non_clustered_peaks_at_large_p() {
 /// Short simulated Figure 6 (120 rounds keeps CI fast; shapes stabilize
 /// well before 600).
 fn fig6_short() -> Vec<Fig6Row> {
-    fig6_rows(120, 0xF166)
+    fig6_rows(120, 0xF166, &TraceSpec::off())
 }
 
 #[test]
@@ -284,7 +285,7 @@ fn claim_failure_drill_upholds_section9() {
     // any interruption of service in the event of a single disk failure";
     // §7.4: non-clustered "may cause blocks belonging to clips to be
     // lost".
-    let rows = failure_drill(150, 0xD121);
+    let rows = failure_drill(150, 0xD121, &TraceSpec::off());
     assert!(rows.len() >= 6, "all six schemes must run the drill");
     for r in &rows {
         assert_eq!(r.metrics.parity_mismatches, 0, "{}", r.scheme);

@@ -156,10 +156,8 @@ impl Design {
                 }
             }
         }
-        let (r_min, r_max) = (
-            *repl.iter().min().expect("v >= 2"),
-            *repl.iter().max().expect("v >= 2"),
-        );
+        let r_min = repl.iter().copied().min().unwrap_or(0);
+        let r_max = repl.iter().copied().max().unwrap_or(0);
         let mut lambda_min = u32::MAX;
         let mut lambda_max = 0;
         for a in 0..v {

@@ -36,10 +36,14 @@ pub struct Pgt {
     k: u32,
     /// `cell[row * d + col]` = set id at (row, col).
     cell: Vec<SetId>,
-    /// Set membership (sorted disk ids), indexed by [`SetId`].
-    sets: Vec<Vec<u32>>,
-    /// All `(row, col)` occurrences of each set.
-    occurrences: Vec<Vec<(u32, u32)>>,
+    /// `start[set] .. start[set + 1]` indexes `set`'s entries in
+    /// `members` and `occurrences` (one entry per member disk).
+    start: Vec<usize>,
+    /// Set membership (sorted disk ids), all sets back to back.
+    members: Vec<u32>,
+    /// The `(row, col)` cells holding each set, in row-major order, all
+    /// sets back to back.
+    occurrences: Vec<(u32, u32)>,
     /// Design balance statistics, retained for admission budgeting.
     stats: DesignStats,
 }
@@ -60,27 +64,41 @@ impl Pgt {
             stats.r_min,
             stats.r_max
         );
-        let d = design.v;
-        let r = stats.r_max;
-        let mut cell = vec![usize::MAX; (r * d) as usize];
-        for col in 0..d {
-            for (row, set_id) in design.sets_containing(col).into_iter().enumerate() {
-                cell[row * d as usize + col as usize] = set_id;
+        let d = design.v as usize;
+        let r = stats.r_max as usize;
+        // One pass over the sets in id order: each member column's next
+        // free row takes the set, so column `i` lists the sets containing
+        // disk `i` in ascending id order (`Design::sets_containing`).
+        let mut start = Vec::with_capacity(design.num_sets() + 1);
+        start.push(0);
+        let mut members = Vec::with_capacity(design.sets.iter().map(Vec::len).sum());
+        let mut next_row = vec![0usize; d];
+        let mut cell = vec![usize::MAX; r * d];
+        for (set_id, set) in design.sets.iter().enumerate() {
+            for &col in set {
+                let col = col as usize;
+                cell[next_row[col] * d + col] = set_id;
+                next_row[col] += 1;
             }
+            members.extend_from_slice(set);
+            start.push(members.len());
         }
         debug_assert!(cell.iter().all(|&s| s != usize::MAX));
-        let mut occurrences = vec![Vec::new(); design.num_sets()];
-        for row in 0..r {
-            for col in 0..d {
-                occurrences[cell[(row * d + col) as usize]].push((row, col));
-            }
+        // Occurrences in row-major order, scattered through the member
+        // offsets.
+        let mut fill = start.clone();
+        let mut occurrences = vec![(0, 0); members.len()];
+        for (at, &set_id) in cell.iter().enumerate() {
+            occurrences[fill[set_id]] = ((at / d) as u32, (at % d) as u32);
+            fill[set_id] += 1;
         }
         Pgt {
-            d,
-            r,
+            d: design.v,
+            r: stats.r_max,
             k: design.k,
             cell,
-            sets: design.sets.clone(),
+            start,
+            members,
             occurrences,
             stats,
         }
@@ -124,19 +142,19 @@ impl Pgt {
     /// The disks participating in `set` (sorted).
     #[must_use]
     pub fn members(&self, set: SetId) -> &[u32] {
-        &self.sets[set]
+        &self.members[self.start[set]..self.start[set + 1]]
     }
 
     /// Number of distinct sets.
     #[must_use]
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
+        self.start.len() - 1
     }
 
     /// All `(row, col)` cells holding `set`. One entry per member disk.
     #[must_use]
     pub fn occurrences(&self, set: SetId) -> &[(u32, u32)] {
-        &self.occurrences[set]
+        &self.occurrences[self.start[set]..self.start[set + 1]]
     }
 
     /// The set a given disk block belongs to: block `block_no` of disk
@@ -162,7 +180,7 @@ impl Pgt {
     /// windows 0, 1, 2.
     #[must_use]
     pub fn parity_disk(&self, set: SetId, window: u64) -> u32 {
-        let members = &self.sets[set];
+        let members = self.members(set);
         let len = members.len() as u64;
         members[((len - 1 - (window % len)) % len) as usize]
     }
@@ -174,7 +192,7 @@ impl Pgt {
     #[must_use]
     pub fn deltas(&self, row: u32, col: u32) -> Vec<u32> {
         let set = self.set_at(row, col);
-        self.occurrences[set]
+        self.occurrences(set)
             .iter()
             .filter(|&&(_, m)| m != col)
             .map(|&(_, m)| (m + self.d - col) % self.d)
@@ -206,7 +224,7 @@ impl Pgt {
         (0..self.r)
             .filter(|&row| {
                 let set = self.set_at(row, failed);
-                self.sets[set].binary_search(&survivor).is_ok()
+                self.members(set).binary_search(&survivor).is_ok()
             })
             .count() as u32
     }

@@ -12,8 +12,8 @@
 //! RAID (§7.3) and the non-clustered baseline (§7.4). The builder takes
 //! the target [`Scheme`] so the layout is labeled correctly.
 
-use crate::materialized::MaterializedLayout;
-use crate::types::{BlockLocation, ParityGroupInfo, Slot, StreamAddr};
+use crate::materialized::{check_capacity, GroupTable, MaterializedLayout};
+use crate::types::{BlockLocation, StreamAddr};
 use cms_core::{CmsError, Scheme};
 
 /// Builds the clustered layout with `num_data_blocks` placed and a single
@@ -67,70 +67,47 @@ pub fn build_with_redundancy(
             "clustered layout needs 1 <= m < p (got p = {p}, m = {m})"
         )));
     }
+    check_capacity(1, num_data_blocks)?;
     let k = p - m;
     let clusters = d / p;
     let data_disks = clusters * k; // d·(p−m)/p
     let span = u64::from(data_disks);
-
-    let mut slots: Vec<Vec<Slot>> = vec![Vec::new(); d as usize];
-    let mut stream = Vec::with_capacity(num_data_blocks as usize);
-    let mut groups: Vec<ParityGroupInfo> = Vec::new();
-    let mut group_of = vec![usize::MAX; num_data_blocks as usize];
 
     let physical_disk = |data_disk: u32| -> u32 {
         let cluster = data_disk / k;
         let offset = data_disk % k;
         cluster * p + offset
     };
-
-    for i in 0..num_data_blocks {
-        let data_disk = (i % span) as u32;
-        let disk = physical_disk(data_disk);
-        let block_no = i / span;
-        push_slot(&mut slots[disk as usize], block_no, Slot::Data(StreamAddr::new(0, i)));
-        stream.push(BlockLocation::new(disk, block_no));
-    }
+    let stream: Vec<BlockLocation> = (0..num_data_blocks)
+        .map(|i| BlockLocation::new(physical_disk((i % span) as u32), i / span))
+        .collect();
 
     // Groups: run g covers data indices g·k .. g·k+k−1.
     let group_span = u64::from(k);
     let num_groups = num_data_blocks.div_ceil(group_span);
+    let mut groups = GroupTable::with_capacity(m as usize, num_groups as usize, stream.len());
     for g in 0..num_groups {
         let start = g * group_span;
         let end = ((g + 1) * group_span).min(num_data_blocks);
-        let data: Vec<StreamAddr> = (start..end).map(|i| StreamAddr::new(0, i)).collect();
-        // All members lie in cluster g mod clusters at row g / clusters.
+        // All members lie in cluster g mod clusters at row g / clusters;
+        // redundancy shards occupy the cluster's last `m` disks, in
+        // shard-index order `k .. k + m`.
         let cluster = (g % u64::from(clusters)) as u32;
         let block_no = g / u64::from(clusters);
-        let gid = groups.len();
-        // Redundancy shards occupy the cluster's last `m` disks, in
-        // shard-index order `k .. k + m` (`m >= 1` validated above).
-        for r in 0..m {
-            let disk = cluster * p + k + r;
-            push_slot(&mut slots[disk as usize], block_no, Slot::Parity(gid));
-        }
-        let parity = BlockLocation::new(cluster * p + k, block_no);
-        let extra: Vec<BlockLocation> =
-            (1..m).map(|r| BlockLocation::new(cluster * p + k + r, block_no)).collect();
-        for a in &data {
-            group_of[a.index as usize] = gid;
-        }
-        groups.push(ParityGroupInfo { data, parity, extra });
+        groups.push(
+            (start..end).map(|i| StreamAddr::new(0, i)),
+            (0..m).map(|r| BlockLocation::new(cluster * p + k + r, block_no)),
+        );
     }
+    let group_of = (0..num_data_blocks).map(|i| (i / group_span) as u32).collect();
 
-    MaterializedLayout::assemble(scheme, d, p, vec![stream], slots, groups, vec![group_of], None)
-}
-
-fn push_slot(slots: &mut Vec<Slot>, block_no: u64, slot: Slot) {
-    if slots.len() <= block_no as usize {
-        slots.resize(block_no as usize + 1, Slot::Free);
-    }
-    debug_assert_eq!(slots[block_no as usize], Slot::Free, "slot collision");
-    slots[block_no as usize] = slot;
+    MaterializedLayout::assemble(scheme, d, p, vec![stream], groups, vec![group_of], None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Slot;
     use cms_core::DiskId;
 
     #[test]

@@ -14,8 +14,8 @@
 //! rotates through the set's disks across windows (see
 //! [`Pgt::parity_disk`]).
 
-use crate::materialized::MaterializedLayout;
-use crate::types::{BlockLocation, ParityGroupInfo, Slot, StreamAddr};
+use crate::materialized::{check_capacity, GroupTable, MaterializedLayout};
+use crate::types::{BlockLocation, StreamAddr};
 use cms_bibd::Pgt;
 use cms_core::{CmsError, Scheme};
 
@@ -24,20 +24,12 @@ use cms_core::{CmsError, Scheme};
 ///
 /// # Errors
 ///
-/// Returns [`CmsError::InvalidParams`] if assembly invariants fail (which
-/// would indicate a construction bug, not bad input).
+/// Returns [`CmsError::InvalidParams`] if the layout is too large to
+/// address or assembly invariants fail (which would indicate a
+/// construction bug, not bad input).
 pub fn build(pgt: &Pgt, num_data_blocks: u64) -> Result<MaterializedLayout, CmsError> {
-    let d = pgt.disks();
-    let r = pgt.rows();
-    let mut alloc = Allocator::new(pgt);
-    let mut stream = Vec::with_capacity(num_data_blocks as usize);
-    for i in 0..num_data_blocks {
-        let disk = (i % u64::from(d)) as u32;
-        let row = ((i / u64::from(d)) % u64::from(r)) as u32;
-        let loc = alloc.place(disk, row, StreamAddr::new(0, i));
-        stream.push(loc);
-    }
-    alloc.finish(Scheme::DeclusteredParity, vec![stream])
+    check_capacity(1, num_data_blocks)?;
+    Builder::new(pgt, Order::Concatenated(num_data_blocks)).finish(Scheme::DeclusteredParity)
 }
 
 /// Builds the `r`-super-clip layout of the dynamic reservation scheme:
@@ -51,154 +43,209 @@ pub fn build_super_clips(
     pgt: &Pgt,
     blocks_per_stream: u64,
 ) -> Result<MaterializedLayout, CmsError> {
-    let d = pgt.disks();
-    let r = pgt.rows();
-    let mut alloc = Allocator::new(pgt);
-    let mut streams = Vec::with_capacity(r as usize);
-    for k in 0..r {
-        let mut stream = Vec::with_capacity(blocks_per_stream as usize);
-        for i in 0..blocks_per_stream {
-            let disk = (i % u64::from(d)) as u32;
-            let loc = alloc.place(disk, k, StreamAddr::new(k, i));
-            stream.push(loc);
-        }
-        streams.push(stream);
-    }
-    alloc.finish(Scheme::DynamicReservation, streams)
+    check_capacity(u64::from(pgt.rows()), blocks_per_stream)?;
+    Builder::new(pgt, Order::SuperClips(blocks_per_stream)).finish(Scheme::DynamicReservation)
 }
 
-/// Shared allocation machinery for both declustered builders.
-struct Allocator<'a> {
+/// The order data blocks are placed in, which is also stream order.
+#[derive(Clone, Copy)]
+enum Order {
+    /// One stream; block `i` goes to disk `i mod d`, row `⌊i/d⌋ mod r`.
+    Concatenated(u64),
+    /// `r` streams of this many blocks; stream `k`'s block `i` goes to
+    /// disk `i mod d`, row `k`.
+    SuperClips(u64),
+}
+
+impl Order {
+    /// Visits every data block in stream order as
+    /// `(stream, index, disk, row)`.
+    fn walk(self, d: u32, r: u32, mut visit: impl FnMut(usize, usize, u32, u32)) {
+        match self {
+            Order::Concatenated(n) => {
+                let (mut disk, mut row) = (0, 0);
+                for i in 0..n as usize {
+                    visit(0, i, disk, row);
+                    disk += 1;
+                    if disk == d {
+                        disk = 0;
+                        row += 1;
+                        if row == r {
+                            row = 0;
+                        }
+                    }
+                }
+            }
+            Order::SuperClips(n) => {
+                for k in 0..r {
+                    let mut disk = 0;
+                    for i in 0..n as usize {
+                        visit(k as usize, i, disk, k);
+                        disk += 1;
+                        if disk == d {
+                            disk = 0;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Placement state of one PGT cell `(row, disk)`: the disk blocks
+/// `row + w·r` of successive windows `w`.
+#[derive(Clone, Copy)]
+struct Cell {
+    /// The set at this cell.
+    set: u32,
+    /// Member count of `set`: this disk holds the set's parity in every
+    /// `period`-th window.
+    period: u32,
+    /// Next window to try for data.
+    next: u32,
+    /// Next window holding this set's parity on this disk.
+    parity: u32,
+}
+
+impl Cell {
+    /// Claims the first non-parity window at or after `next` (Figure 2's
+    /// `n`-search; parity windows are at least two apart).
+    fn take_window(&mut self) -> u32 {
+        if self.next == self.parity {
+            self.next += 1;
+            self.parity += self.period;
+        }
+        self.next += 1;
+        self.next - 1
+    }
+}
+
+/// Shared construction for both declustered builders.
+struct Builder<'a> {
     pgt: &'a Pgt,
-    /// Per-disk slot contents (grown on demand).
-    slots: Vec<Vec<Slot>>,
-    /// `cursor[disk][row]` = next window to try for data placement.
-    cursor: Vec<Vec<u64>>,
-    /// Precomputed `rowOf[set][member_pos]` → the row in which `set`
-    /// appears in each member's column.
-    row_of_set_in_col: Vec<Vec<u32>>,
+    order: Order,
+    d: u32,
+    r: u32,
+    /// `cells[row·d + disk]`.
+    cells: Vec<Cell>,
+    /// `member_rows[off[set] + pos]` = the row holding `set` in the column
+    /// of its `pos`-th member disk.
+    member_rows: Vec<u32>,
+    off: Vec<usize>,
 }
 
-impl<'a> Allocator<'a> {
-    fn new(pgt: &'a Pgt) -> Self {
-        let d = pgt.disks() as usize;
-        let r = pgt.rows() as usize;
-        let mut row_of_set_in_col = vec![Vec::new(); pgt.num_sets()];
-        for (set, rows) in row_of_set_in_col.iter_mut().enumerate() {
-            // occurrences are (row, col) pairs; align them with the sorted
-            // member list.
-            let mut occ: Vec<(u32, u32)> = pgt.occurrences(set).to_vec();
-            occ.sort_by_key(|&(_, col)| col);
-            *rows = occ.iter().map(|&(row, _)| row).collect();
+impl<'a> Builder<'a> {
+    fn new(pgt: &'a Pgt, order: Order) -> Self {
+        let (d, r) = (pgt.disks(), pgt.rows());
+        let mut off = Vec::with_capacity(pgt.num_sets() + 1);
+        off.push(0);
+        for set in 0..pgt.num_sets() {
+            off.push(off[set] + pgt.members(set).len());
         }
-        Allocator {
-            pgt,
-            slots: vec![Vec::new(); d],
-            cursor: vec![vec![0; r]; d],
-            row_of_set_in_col,
-        }
-    }
-
-    /// Is `(disk, row, window)` the parity position of its set?
-    fn is_parity_position(&self, disk: u32, row: u32, window: u64) -> bool {
-        let set = self.pgt.set_at(row, disk);
-        self.pgt.parity_disk(set, window) == disk
-    }
-
-    /// Places a data block for `addr` on `disk` in the first non-parity,
-    /// unallocated block of `row` (Figure 2's `n`-search).
-    fn place(&mut self, disk: u32, row: u32, addr: StreamAddr) -> BlockLocation {
-        let r = u64::from(self.pgt.rows());
-        let n = loop {
-            let n = self.cursor[disk as usize][row as usize];
-            self.cursor[disk as usize][row as usize] += 1;
-            if !self.is_parity_position(disk, row, n) {
-                break n;
+        let mut member_rows = vec![0; off[pgt.num_sets()]];
+        let mut cells = Vec::with_capacity(d as usize * r as usize);
+        for row in 0..r {
+            for disk in 0..d {
+                let set = pgt.set_at(row, disk);
+                let members = pgt.members(set);
+                let pos = members.partition_point(|&m| m < disk);
+                member_rows[off[set] + pos] = row;
+                // Parity descends through the member list (see
+                // `Pgt::parity_disk`): member `pos` holds it in windows
+                // `len − 1 − pos (mod len)`.
+                let period = members.len() as u32;
+                let phase = period - 1 - pos as u32;
+                cells.push(Cell { set: set as u32, period, next: 0, parity: phase });
             }
+        }
+        Builder { pgt, order, d, r, cells, member_rows, off }
+    }
+
+    /// Places the data, enumerates parity groups in `(set, window)` order
+    /// with a counting sort straight into the flat group table, and
+    /// assembles the layout.
+    fn finish(self, scheme: Scheme) -> Result<MaterializedLayout, CmsError> {
+        let (d, r) = (self.d as usize, u64::from(self.r));
+        let (num_streams, len) = match self.order {
+            Order::Concatenated(n) => (1, n as usize),
+            Order::SuperClips(n) => (self.r as usize, n as usize),
         };
-        let block_no = u64::from(row) + n * r;
-        let slots = &mut self.slots[disk as usize];
-        if slots.len() <= block_no as usize {
-            slots.resize(block_no as usize + 1, Slot::Free);
+        let mut streams: Vec<Vec<BlockLocation>> =
+            (0..num_streams).map(|_| Vec::with_capacity(len)).collect();
+        // `group_of` carries each block's window, then its (set, window)
+        // key, then its group id.
+        let mut group_of: Vec<Vec<u32>> =
+            (0..num_streams).map(|_| Vec::with_capacity(len)).collect();
+        let mut cells = self.cells;
+        self.order.walk(self.d, self.r, |s, _, disk, row| {
+            let window = cells[row as usize * d + disk as usize].take_window();
+            streams[s].push(BlockLocation::new(disk, u64::from(row) + u64::from(window) * r));
+            group_of[s].push(window);
+        });
+
+        // Keys: set `s` owns `base[s] .. base[s + 1]`, one per window up
+        // to the last any of its cells reached.
+        let num_sets = self.pgt.num_sets();
+        let mut base = vec![0u32; num_sets + 1];
+        for cell in &cells {
+            let extent = &mut base[cell.set as usize + 1];
+            *extent = (*extent).max(cell.next);
         }
-        debug_assert_eq!(slots[block_no as usize], Slot::Free, "double allocation");
-        slots[block_no as usize] = Slot::Data(addr);
-        BlockLocation::new(disk, block_no)
-    }
+        for s in 0..num_sets {
+            base[s + 1] += base[s];
+        }
+        let mut counts = vec![0u32; base[num_sets] as usize];
+        self.order.walk(self.d, self.r, |s, i, disk, row| {
+            let set = cells[row as usize * d + disk as usize].set as usize;
+            let key = base[set] + group_of[s][i];
+            group_of[s][i] = key;
+            counts[key as usize] += 1;
+        });
 
-    /// Enumerates parity groups over the placed data, marks parity slots,
-    /// and assembles the layout.
-    fn finish(
-        mut self,
-        scheme: Scheme,
-        streams: Vec<Vec<BlockLocation>>,
-    ) -> Result<MaterializedLayout, CmsError> {
-        let d = self.pgt.disks();
-        let r = u64::from(self.pgt.rows());
-        let max_block = self.slots.iter().map(Vec::len).max().unwrap_or(0) as u64;
-        let windows = max_block.div_ceil(r);
-
-        let mut groups: Vec<ParityGroupInfo> = Vec::new();
-        let mut group_of: Vec<Vec<usize>> =
-            streams.iter().map(|s| vec![usize::MAX; s.len()]).collect();
-
-        for set in 0..self.pgt.num_sets() {
-            for window in 0..windows {
-                let mut data = Vec::new();
-                let parity_disk = self.pgt.parity_disk(set, window);
-                for (pos, &member) in self.pgt.members(set).iter().enumerate() {
-                    if member == parity_disk {
-                        continue;
-                    }
-                    let row = self.row_of_set_in_col[set][pos];
-                    let block_no = u64::from(row) + window * r;
-                    if let Slot::Data(addr) = self
-                        .slots
-                        .get(member as usize)
-                        .and_then(|s| s.get(block_no as usize))
-                        .copied()
-                        .unwrap_or(Slot::Free)
-                    {
-                        data.push(addr);
-                    }
+        // Groups are the non-empty keys in key order; `counts` turns into
+        // the key → group id map and `start` collects member offsets.
+        let total = num_streams * len;
+        let mut groups = GroupTable::with_capacity(1, counts.len(), total);
+        let mut end = 0;
+        for set in 0..num_sets {
+            let members = self.pgt.members(set);
+            let rows = &self.member_rows[self.off[set]..self.off[set + 1]];
+            let last = members.len().saturating_sub(1);
+            let mut pos = last; // parity member in window 0
+            for (window, key) in (base[set]..base[set + 1]).enumerate() {
+                let count = &mut counts[key as usize];
+                if *count > 0 {
+                    end += *count;
+                    *count = groups.start.len() as u32 - 1;
+                    groups.start.push(end);
+                    let block_no = u64::from(rows[pos]) + window as u64 * r;
+                    groups.redundancy.push(BlockLocation::new(members[pos], block_no));
                 }
-                if data.is_empty() {
-                    continue;
-                }
-                data.sort_unstable();
-                // Locate and mark the parity slot.
-                let ppos = self
-                    .pgt
-                    .members(set)
-                    .iter()
-                    .position(|&m| m == parity_disk)
-                    .expect("parity disk is a member");
-                let prow = self.row_of_set_in_col[set][ppos];
-                let pblock = u64::from(prow) + window * r;
-                let pslots = &mut self.slots[parity_disk as usize];
-                if pslots.len() <= pblock as usize {
-                    pslots.resize(pblock as usize + 1, Slot::Free);
-                }
-                debug_assert_eq!(pslots[pblock as usize], Slot::Free, "parity slot collision");
-                let gid = groups.len();
-                pslots[pblock as usize] = Slot::Parity(gid);
-                for &addr in &data {
-                    group_of[addr.stream as usize][addr.index as usize] = gid;
-                }
-                groups.push(ParityGroupInfo {
-                    data,
-                    parity: BlockLocation::new(parity_disk, pblock),
-                    extra: Vec::new(),
-                });
+                pos = if pos == 0 { last } else { pos - 1 };
             }
         }
+        // Scatter members in stream order (so each group's run is sorted),
+        // using `start[g]` as group `g`'s write cursor; afterwards each
+        // cursor sits at the next group's start, so shift back by one.
+        groups.members.resize(total, StreamAddr::new(0, 0));
+        for (s, stream) in group_of.iter_mut().enumerate() {
+            for (i, slot) in stream.iter_mut().enumerate() {
+                let gid = counts[*slot as usize];
+                let at = &mut groups.start[gid as usize];
+                groups.members[*at as usize] = StreamAddr::new(s as u32, i as u64);
+                *at += 1;
+                *slot = gid;
+            }
+        }
+        let num_groups = groups.start.len() - 1;
+        groups.start.copy_within(0..num_groups, 1);
+        groups.start[0] = 0;
 
         MaterializedLayout::assemble(
             scheme,
-            d,
+            self.d,
             self.pgt.group_size(),
             streams,
-            std::mem::take(&mut self.slots),
             groups,
             group_of,
             Some(self.pgt.clone()),
@@ -321,7 +368,7 @@ mod tests {
             let window = pgt.window_of_block(loc.block_no);
             assert_eq!(g.parity.disk.raw(), pgt.parity_disk(set, window));
             // All data members map to the same set and window.
-            for &other in &g.data {
+            for &other in g.data {
                 let oloc = layout.locate(other);
                 assert_eq!(pgt.set_of_block(oloc.disk.raw(), oloc.block_no), set);
                 assert_eq!(pgt.window_of_block(oloc.block_no), window);
@@ -390,7 +437,7 @@ mod tests {
                 let loc = layout.locate(addr);
                 let set = pgt.set_at(k, loc.disk.raw());
                 let g = layout.group(layout.group_id_of(addr));
-                for &other in &g.data {
+                for &other in g.data {
                     let od = layout.locate(other).disk.raw();
                     assert!(
                         pgt.members(set).contains(&od),
@@ -435,6 +482,13 @@ mod tests {
             *used.iter().max().unwrap(),
         );
         assert!(max - min <= 3, "disk usage spread too wide: {used:?}");
+    }
+
+    #[test]
+    fn rejects_layouts_too_large_to_address() {
+        let pgt = paper_pgt();
+        assert!(build(&pgt, (1 << 30) + 1).is_err());
+        assert!(build_super_clips(&pgt, 1 << 29).is_err()); // 3 rows × 2^29
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! Physically, data blocks fill the top of every disk and parity blocks
 //! are appended below the data region, exactly as Figure 3 draws it.
 
-use crate::materialized::MaterializedLayout;
-use crate::types::{BlockLocation, ParityGroupInfo, Slot, StreamAddr};
+use crate::materialized::{check_capacity, GroupTable, MaterializedLayout};
+use crate::types::{BlockLocation, StreamAddr};
 use cms_core::{CmsError, Scheme};
 
 /// Builds the flat layout with `num_data_blocks` placed.
@@ -29,29 +29,21 @@ pub fn build(d: u32, p: u32, num_data_blocks: u64) -> Result<MaterializedLayout,
             "need 2 <= p <= d (the parity disk lives outside the p−1-disk cluster)",
         ));
     }
+    check_capacity(1, num_data_blocks)?;
     let span = u64::from(d);
     let group_span = u64::from(p - 1);
-
-    let mut slots: Vec<Vec<Slot>> = vec![Vec::new(); d as usize];
-    let mut stream = Vec::with_capacity(num_data_blocks as usize);
-    for i in 0..num_data_blocks {
-        let disk = (i % span) as u32;
-        let block_no = i / span;
-        push_slot(&mut slots[disk as usize], block_no, Slot::Data(StreamAddr::new(0, i)));
-        stream.push(BlockLocation::new(disk, block_no));
-    }
+    let stream: Vec<BlockLocation> =
+        (0..num_data_blocks).map(|i| BlockLocation::new((i % span) as u32, i / span)).collect();
 
     // Parity region starts below the data region on every disk.
     let data_rows = num_data_blocks.div_ceil(span);
     let mut parity_cursor = vec![data_rows; d as usize];
 
-    let mut groups: Vec<ParityGroupInfo> = Vec::new();
-    let mut group_of = vec![usize::MAX; num_data_blocks as usize];
     let num_groups = num_data_blocks.div_ceil(group_span);
+    let mut groups = GroupTable::with_capacity(1, num_groups as usize, stream.len());
     for g in 0..num_groups {
         let start = g * group_span;
         let end = ((g + 1) * group_span).min(num_data_blocks);
-        let data: Vec<StreamAddr> = (start..end).map(|i| StreamAddr::new(0, i)).collect();
         // Figure 3 rule: last member's disk and its per-disk data row pick
         // the parity disk. A terminal partial group (stream length not a
         // multiple of p−1) uses its *nominal* last index — where the group
@@ -69,42 +61,28 @@ pub fn build(d: u32, p: u32, num_data_blocks: u64) -> Result<MaterializedLayout,
         let parity_disk = (last_disk + 1 + offset) % d;
         let parity_block = parity_cursor[parity_disk as usize];
         parity_cursor[parity_disk as usize] += 1;
-
-        let gid = groups.len();
-        push_slot(&mut slots[parity_disk as usize], parity_block, Slot::Parity(gid));
-        for a in &data {
-            group_of[a.index as usize] = gid;
-        }
-        groups.push(ParityGroupInfo {
-            data,
-            parity: BlockLocation::new(parity_disk, parity_block),
-            extra: Vec::new(),
-        });
+        groups.push(
+            (start..end).map(|i| StreamAddr::new(0, i)),
+            [BlockLocation::new(parity_disk, parity_block)],
+        );
     }
+    let group_of = (0..num_data_blocks).map(|i| (i / group_span) as u32).collect();
 
     MaterializedLayout::assemble(
         Scheme::PrefetchFlat,
         d,
         p,
         vec![stream],
-        slots,
         groups,
         vec![group_of],
         None,
     )
 }
 
-fn push_slot(slots: &mut Vec<Slot>, block_no: u64, slot: Slot) {
-    if slots.len() <= block_no as usize {
-        slots.resize(block_no as usize + 1, Slot::Free);
-    }
-    debug_assert_eq!(slots[block_no as usize], Slot::Free, "slot collision");
-    slots[block_no as usize] = slot;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Slot;
     use cms_core::DiskId;
 
     /// The paper's Figure 3: d = 9, p = 4 (clusters of 3), 54 data blocks.

@@ -33,4 +33,4 @@ pub mod materialized;
 pub mod types;
 
 pub use materialized::MaterializedLayout;
-pub use types::{BlockLocation, GroupId, ParityGroupInfo, Slot, StreamAddr};
+pub use types::{BlockLocation, GroupId, ParityGroup, Slot, StreamAddr};

@@ -1,7 +1,7 @@
 //! [`MaterializedLayout`]: the fully resolved placement all builders
 //! produce and everything downstream consumes.
 
-use crate::types::{BlockLocation, GroupId, ParityGroupInfo, Slot, StreamAddr};
+use crate::types::{BlockLocation, GroupId, ParityGroup, Slot, StreamAddr};
 use cms_bibd::Pgt;
 use cms_core::{CmsError, DiskId, Scheme};
 
@@ -14,38 +14,137 @@ pub struct MaterializedLayout {
     p: u32,
     /// `streams[s][i]` = physical location of data block `i` of stream `s`.
     streams: Vec<Vec<BlockLocation>>,
-    /// `slots[disk]` = contents of each disk block (dense prefix; blocks
-    /// beyond the vector are `Free`).
-    slots: Vec<Vec<Slot>>,
+    /// `slots[disk]` = contents of each disk block as packed slot words
+    /// (dense prefix; blocks beyond the vector are `Free`).
+    slots: Vec<Vec<u64>>,
     /// Parity groups.
-    groups: Vec<ParityGroupInfo>,
+    groups: GroupTable,
     /// `group_of[s][i]` = group of data block `i` of stream `s`.
-    group_of: Vec<Vec<GroupId>>,
+    group_of: Vec<Vec<u32>>,
     /// The PGT, for the declustered family (None otherwise).
     pgt: Option<Pgt>,
 }
 
+/// The parity groups of a layout as three flat columns: every group's
+/// data members back to back, their start offsets, and `m` redundancy
+/// locations per group. Builders fill it in group-id order.
+#[derive(Debug, Clone)]
+pub(crate) struct GroupTable {
+    /// Data members of all groups; each group's run is in stream order.
+    pub(crate) members: Vec<StreamAddr>,
+    /// `start[g] .. start[g + 1]` indexes group `g`'s run in `members`.
+    pub(crate) start: Vec<u32>,
+    /// Group `g`'s redundancy blocks are `redundancy[g·m .. (g + 1)·m]`,
+    /// in shard-index order.
+    pub(crate) redundancy: Vec<BlockLocation>,
+    /// Redundancy shards per group (`m >= 1`).
+    pub(crate) m: usize,
+}
+
+impl GroupTable {
+    /// An empty table sized for `groups` groups holding `members` data
+    /// blocks in total.
+    pub(crate) fn with_capacity(m: usize, groups: usize, members: usize) -> Self {
+        let mut start = Vec::with_capacity(groups + 1);
+        start.push(0);
+        GroupTable {
+            members: Vec::with_capacity(members),
+            start,
+            redundancy: Vec::with_capacity(groups * m),
+            m,
+        }
+    }
+
+    /// Appends the next group.
+    pub(crate) fn push(
+        &mut self,
+        data: impl IntoIterator<Item = StreamAddr>,
+        redundancy: impl IntoIterator<Item = BlockLocation>,
+    ) {
+        self.members.extend(data);
+        self.start.push(self.members.len() as u32);
+        self.redundancy.extend(redundancy);
+    }
+
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn get(&self, gid: GroupId) -> ParityGroup<'_> {
+        let data = &self.members[self.start[gid] as usize..self.start[gid + 1] as usize];
+        let redundancy = &self.redundancy[gid * self.m..(gid + 1) * self.m];
+        ParityGroup { data, parity: redundancy[0], extra: &redundancy[1..] }
+    }
+}
+
+/// Most data blocks a layout can address: group ids, member offsets,
+/// slot-word indices and the declustered builder's window keys are
+/// 32-bit, and keys can reach about twice the block count.
+const MAX_BLOCKS: u64 = 1 << 30;
+
+/// Most streams a slot word can name (30 bits beside the 2-bit tag).
+const MAX_STREAMS: u64 = 1 << 30;
+
+/// Rejects layouts too large for the 32-bit group and slot encoding:
+/// `streams` streams of `blocks_per_stream` data blocks each.
+///
+/// # Errors
+///
+/// Returns [`CmsError::InvalidParams`] beyond [`MAX_STREAMS`] streams or
+/// [`MAX_BLOCKS`] data blocks in total.
+pub(crate) fn check_capacity(streams: u64, blocks_per_stream: u64) -> Result<(), CmsError> {
+    let total = streams.saturating_mul(blocks_per_stream);
+    if streams > MAX_STREAMS || total > MAX_BLOCKS {
+        return Err(CmsError::invalid_params(format!(
+            "layout of {streams} × {blocks_per_stream} blocks exceeds the addressable \
+             {MAX_STREAMS} streams / {MAX_BLOCKS} blocks"
+        )));
+    }
+    Ok(())
+}
+
+/// Slot word tags (top two bits); `0` is a free block. A data word
+/// holds the stream in bits 32..62 and the index below; a parity word
+/// holds the group id. [`check_capacity`] keeps both in range.
+const TAG_DATA: u64 = 1 << 62;
+const TAG_PARITY: u64 = 2 << 62;
+const FREE: u64 = 0;
+
+fn pack_data(addr: StreamAddr) -> u64 {
+    TAG_DATA | (u64::from(addr.stream) << 32) | addr.index
+}
+
+fn unpack(word: u64) -> Slot {
+    let low = word & 0xFFFF_FFFF;
+    match word >> 62 {
+        0 => Slot::Free,
+        1 => Slot::Data(StreamAddr::new((word >> 32) as u32 & (MAX_STREAMS as u32 - 1), low)),
+        _ => Slot::Parity(low as GroupId),
+    }
+}
+
 impl MaterializedLayout {
-    /// Assembles a layout from builder output and validates its
+    /// Assembles a layout from builder output — derives the slot table
+    /// from the stream and redundancy locations — and validates its
     /// invariants. Intended for use by the builder modules; external
     /// callers use `declustered::build` etc.
     ///
     /// # Errors
     ///
     /// Returns [`CmsError::InvalidParams`] when an invariant is violated:
-    /// a stream address and slot table disagree, a group has members on
-    /// duplicate disks, or a parity block collides with data.
-    #[allow(clippy::too_many_arguments)] // internal builder plumbing
+    /// two blocks share a slot, a stream address and slot table disagree,
+    /// a group has members on duplicate disks, or a parity block collides
+    /// with data.
     pub(crate) fn assemble(
         scheme: Scheme,
         d: u32,
         p: u32,
         streams: Vec<Vec<BlockLocation>>,
-        slots: Vec<Vec<Slot>>,
-        groups: Vec<ParityGroupInfo>,
-        group_of: Vec<Vec<GroupId>>,
+        groups: GroupTable,
+        group_of: Vec<Vec<u32>>,
         pgt: Option<Pgt>,
     ) -> Result<Self, CmsError> {
+        let slots = slot_table(d, &streams, &groups)?;
         let layout = MaterializedLayout { scheme, d, p, streams, slots, groups, group_of, pgt };
         layout.check_invariants()?;
         Ok(layout)
@@ -55,11 +154,14 @@ impl MaterializedLayout {
         // Redundancy is a layout-wide constant: every group carries the
         // same shard count `m` (trailing groups may be short on data, but
         // never on redundancy).
-        if let Some(first) = self.groups.first() {
-            let m = first.redundancy();
-            if self.groups.iter().any(|g| g.redundancy() != m) {
-                return Err(CmsError::invalid_params("groups disagree on redundancy m"));
-            }
+        let groups = &self.groups;
+        if groups.m == 0 || groups.redundancy.len() != groups.len() * groups.m {
+            return Err(CmsError::invalid_params("groups disagree on redundancy m"));
+        }
+        if groups.start.windows(2).any(|w| w[0] > w[1])
+            || groups.start.last().map(|&end| end as usize) != Some(groups.members.len())
+        {
+            return Err(CmsError::invalid_params("group member offsets out of order"));
         }
         if self.slots.len() != self.d as usize {
             return Err(CmsError::invalid_params("slot table width != d"));
@@ -84,17 +186,14 @@ impl MaterializedLayout {
         }
         // Groups: members on pairwise distinct disks, every redundancy
         // slot marked.
-        for (gid, g) in self.groups.iter().enumerate() {
-            let mut disks: Vec<DiskId> = g
-                .data
-                .iter()
-                .map(|&a| self.locate(a).disk)
-                .chain(g.redundancy_blocks().map(|loc| loc.disk))
-                .collect();
+        let mut disks: Vec<DiskId> = Vec::new();
+        for gid in 0..groups.len() {
+            let g = groups.get(gid);
+            disks.clear();
+            disks.extend(g.data.iter().map(|&a| self.locate(a).disk));
+            disks.extend(g.redundancy_blocks().map(|loc| loc.disk));
             disks.sort_unstable();
-            let before = disks.len();
-            disks.dedup();
-            if disks.len() != before {
+            if disks.windows(2).any(|w| w[0] == w[1]) {
                 return Err(CmsError::invalid_params(format!(
                     "group {gid} has two members on one disk"
                 )));
@@ -109,8 +208,8 @@ impl MaterializedLayout {
                     }
                 }
             }
-            for &a in &g.data {
-                if self.group_of[a.stream as usize][a.index as usize] != gid {
+            for &a in g.data {
+                if self.group_id_of(a) != gid {
                     return Err(CmsError::invalid_params(format!(
                         "group_of({a}) does not point at group {gid}"
                     )));
@@ -163,10 +262,7 @@ impl MaterializedLayout {
     /// Contents of a physical disk block (Free beyond the placed region).
     #[must_use]
     pub fn slot(&self, disk: DiskId, block_no: u64) -> Slot {
-        self.slots[disk.idx()]
-            .get(block_no as usize)
-            .copied()
-            .unwrap_or(Slot::Free)
+        self.slots[disk.idx()].get(block_no as usize).map_or(Slot::Free, |&w| unpack(w))
     }
 
     /// The parity group containing a data block.
@@ -176,13 +272,17 @@ impl MaterializedLayout {
     /// Panics if the address is out of range.
     #[must_use]
     pub fn group_id_of(&self, addr: StreamAddr) -> GroupId {
-        self.group_of[addr.stream as usize][addr.index as usize]
+        self.group_of[addr.stream as usize][addr.index as usize] as GroupId
     }
 
     /// Group record by id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gid >= num_groups()`.
     #[must_use]
-    pub fn group(&self, gid: GroupId) -> &ParityGroupInfo {
-        &self.groups[gid]
+    pub fn group(&self, gid: GroupId) -> ParityGroup<'_> {
+        self.groups.get(gid)
     }
 
     /// Number of parity groups.
@@ -209,12 +309,7 @@ impl MaterializedLayout {
     pub fn reconstruction_reads_into(&self, addr: StreamAddr, out: &mut Vec<BlockLocation>) {
         let g = self.group(self.group_id_of(addr));
         out.clear();
-        out.extend(
-            g.data
-                .iter()
-                .filter(|&&a| a != addr)
-                .map(|&a| self.locate(a)),
-        );
+        out.extend(g.data.iter().filter(|&&a| a != addr).map(|&a| self.locate(a)));
         out.extend(g.redundancy_blocks());
     }
 
@@ -222,7 +317,12 @@ impl MaterializedLayout {
     /// layout; the clustered family can be built with more).
     #[must_use]
     pub fn redundancy(&self) -> u32 {
-        self.groups.first().map_or(1, |g| g.redundancy() as u32)
+        // A layout without groups reports the paper's single parity.
+        if self.num_groups() == 0 {
+            1
+        } else {
+            self.groups.m as u32
+        }
     }
 
     /// The PGT, for the declustered family.
@@ -266,6 +366,47 @@ impl MaterializedLayout {
         if data == 0 {
             return 0.0;
         }
-        self.groups.iter().map(|g| g.redundancy() as u64).sum::<u64>() as f64 / data as f64
+        self.groups.redundancy.len() as f64 / data as f64
     }
+}
+
+/// Derives the packed slot table from the data and redundancy locations:
+/// one exactly sized column per disk.
+fn slot_table(
+    d: u32,
+    streams: &[Vec<BlockLocation>],
+    groups: &GroupTable,
+) -> Result<Vec<Vec<u64>>, CmsError> {
+    let out_of_range = |loc: &BlockLocation| {
+        CmsError::invalid_params(format!("block {loc} lies outside the {d}-disk array"))
+    };
+    let mut used = vec![0usize; d as usize];
+    for loc in streams.iter().flatten().chain(&groups.redundancy) {
+        let n = used.get_mut(loc.disk.idx()).ok_or_else(|| out_of_range(loc))?;
+        *n = (*n).max(loc.block_no as usize + 1);
+    }
+    let mut slots: Vec<Vec<u64>> = used.iter().map(|&n| vec![FREE; n]).collect();
+    let mut put = |loc: &BlockLocation, word: u64| {
+        let cell = &mut slots[loc.disk.idx()][loc.block_no as usize];
+        if *cell != FREE {
+            return Err(CmsError::invalid_params(format!(
+                "slot {loc} allocated twice ({:?} and {:?})",
+                unpack(*cell),
+                unpack(word)
+            )));
+        }
+        *cell = word;
+        Ok(())
+    };
+    for (s, stream) in streams.iter().enumerate() {
+        for (i, loc) in stream.iter().enumerate() {
+            put(loc, pack_data(StreamAddr::new(s as u32, i as u64)))?;
+        }
+    }
+    for (gid, shards) in groups.redundancy.chunks(groups.m.max(1)).enumerate() {
+        for loc in shards {
+            put(loc, TAG_PARITY | gid as u64)?;
+        }
+    }
+    Ok(slots)
 }

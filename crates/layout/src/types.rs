@@ -1,5 +1,5 @@
 //! Shared layout types: physical locations, stream addresses, slot
-//! contents and parity-group records.
+//! contents and parity-group views.
 
 use cms_core::DiskId;
 use std::fmt;
@@ -72,21 +72,22 @@ pub enum Slot {
     Parity(GroupId),
 }
 
-/// A fully resolved parity group: the stream addresses of its data blocks
-/// and the physical locations of its redundancy blocks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParityGroupInfo {
+/// A fully resolved parity group, borrowed from its layout's group
+/// table: the stream addresses of its data blocks and the physical
+/// locations of its redundancy blocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParityGroup<'a> {
     /// Data members, in stream order.
-    pub data: Vec<StreamAddr>,
+    pub data: &'a [StreamAddr],
     /// Where the (first) parity block lives.
     pub parity: BlockLocation,
     /// Redundancy blocks beyond the first — empty for the paper's
     /// single-parity groups (`m = 1`); a Reed–Solomon group with `m`
     /// redundancy shards lists its remaining `m − 1` here.
-    pub extra: Vec<BlockLocation>,
+    pub extra: &'a [BlockLocation],
 }
 
-impl ParityGroupInfo {
+impl<'a> ParityGroup<'a> {
     /// Redundancy shard count `m` (1 for plain XOR parity).
     #[must_use]
     pub fn redundancy(&self) -> usize {
@@ -95,7 +96,7 @@ impl ParityGroupInfo {
 
     /// All redundancy block locations: the parity block, then the extras,
     /// in shard-index order (`k .. k + m`).
-    pub fn redundancy_blocks(&self) -> impl Iterator<Item = BlockLocation> + '_ {
+    pub fn redundancy_blocks(&self) -> impl Iterator<Item = BlockLocation> + 'a {
         std::iter::once(self.parity).chain(self.extra.iter().copied())
     }
 }

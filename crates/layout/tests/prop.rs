@@ -75,7 +75,7 @@ proptest! {
                 for w in g.data.windows(2) {
                     prop_assert_eq!(w[1].index, w[0].index + 1, "group {} not consecutive", gid);
                 }
-                for &a in &g.data {
+                for &a in g.data {
                     prop_assert_ne!(layout.locate(a).disk, g.parity.disk);
                 }
             }

@@ -2093,7 +2093,7 @@ impl Simulator {
             shards.resize_with(k + m, Block::default);
         }
         let all = &mut shards[..k + m];
-        for (slot, &a) in all.iter_mut().zip(&group.data) {
+        for (slot, &a) in all.iter_mut().zip(group.data) {
             slot.fill_synthetic(u64::from(a.stream), a.index, n);
         }
         if codec.encode_within(all).is_err() {

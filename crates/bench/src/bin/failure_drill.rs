@@ -12,13 +12,15 @@
 
 #![forbid(unsafe_code)]
 
+use cms_bench::cli::fail;
 use cms_bench::{failure_drill, BenchArgs};
 use cms_core::Scheme;
 
 fn main() {
     let args = BenchArgs::parse();
     let rounds = args.rounds_or(300);
-    let rows = failure_drill(rounds, 0x0DEA_D15C, &args.trace_spec());
+    let rows = failure_drill(rounds, 0x0DEA_D15C, &args.trace_spec())
+        .unwrap_or_else(|e| fail("failure_drill", e));
     if args.json() {
         println!("{}", serde_json::to_string_pretty(&rows).expect("serializable"));
         return;

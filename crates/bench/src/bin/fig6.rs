@@ -10,6 +10,7 @@
 
 #![forbid(unsafe_code)]
 
+use cms_bench::cli::fail;
 use cms_bench::{fig6_rows, BenchArgs, PAPER_PS};
 use cms_core::Scheme;
 
@@ -17,7 +18,7 @@ fn main() {
     let args = BenchArgs::parse();
     let rounds = args.rounds_or(600);
     let seed = args.seed_or(0x51_6D0D);
-    let rows = fig6_rows(rounds, seed, &args.trace_spec());
+    let rows = fig6_rows(rounds, seed, &args.trace_spec()).unwrap_or_else(|e| fail("fig6", e));
     if args.json() {
         println!("{}", serde_json::to_string_pretty(&rows).expect("serializable"));
         return;

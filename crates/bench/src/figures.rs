@@ -84,8 +84,12 @@ pub struct Fig6Row {
 /// on, each `(buffer, scheme, p)` run exports to its own file derived
 /// from the spec's path via [`TraceSpec::labeled`]; pass
 /// [`TraceSpec::off`] to trace nothing.
-#[must_use]
-pub fn fig6_rows(rounds: u64, seed: u64, trace: &TraceSpec) -> Vec<Fig6Row> {
+///
+/// # Errors
+///
+/// Returns the first run's construction error, e.g. an unwritable trace
+/// path.
+pub fn fig6_rows(rounds: u64, seed: u64, trace: &TraceSpec) -> Result<Vec<Fig6Row>, CmsError> {
     let mut rows = Vec::new();
     // Block sizing must also respect storage: 1000 clips × 50 blocks plus
     // headroom for the start-jitter padding.
@@ -101,14 +105,12 @@ pub fn fig6_rows(rounds: u64, seed: u64, trace: &TraceSpec) -> Vec<Fig6Row> {
                 cfg.rounds = rounds;
                 cfg.seed = seed;
                 cfg.trace = trace.labeled(&format!("{label}-{scheme:?}-p{p}"));
-                let metrics = Simulator::new(cfg)
-                    .expect("paper-scale configuration must construct")
-                    .run();
+                let metrics = Simulator::new(cfg)?.run();
                 rows.push(Fig6Row { buffer: label.to_string(), scheme, p, point, metrics });
             }
         }
     }
-    rows
+    Ok(rows)
 }
 
 /// One row of the Equation 1 table (E5): per-disk budget vs block size.
@@ -199,8 +201,12 @@ pub struct DrillRow {
 /// With tracing on, each scheme's failure→recovery→rebuild event stream
 /// exports to its own file derived from the spec's path via
 /// [`TraceSpec::labeled`]; pass [`TraceSpec::off`] to trace nothing.
-#[must_use]
-pub fn failure_drill(rounds: u64, seed: u64, trace: &TraceSpec) -> Vec<DrillRow> {
+///
+/// # Errors
+///
+/// Returns the first run's construction error, e.g. an unwritable trace
+/// path.
+pub fn failure_drill(rounds: u64, seed: u64, trace: &TraceSpec) -> Result<Vec<DrillRow>, CmsError> {
     let input = ModelInput::sigmod96(mib(256)).with_storage_blocks(1000 * 50 * 3 / 2);
     let mut rows = Vec::new();
     for scheme in Scheme::ALL {
@@ -214,10 +220,10 @@ pub fn failure_drill(rounds: u64, seed: u64, trace: &TraceSpec) -> Vec<DrillRow>
         cfg.rounds = rounds;
         cfg.seed = seed;
         cfg.trace = trace.labeled(&format!("{scheme:?}-p{p}"));
-        let metrics = Simulator::new(cfg).expect("drill config must construct").run();
+        let metrics = Simulator::new(cfg)?.run();
         rows.push(DrillRow { scheme, p, metrics });
     }
-    rows
+    Ok(rows)
 }
 
 /// Sanity helper shared by tests: 2 GB input.
@@ -290,7 +296,7 @@ mod tests {
 
     #[test]
     fn short_failure_drill_upholds_guarantees() {
-        for row in failure_drill(90, 3, &TraceSpec::off()) {
+        for row in failure_drill(90, 3, &TraceSpec::off()).unwrap() {
             assert_eq!(row.metrics.parity_mismatches, 0, "{}", row.scheme);
             if row.scheme != Scheme::NonClustered {
                 assert_eq!(row.metrics.hiccups, 0, "{}", row.scheme);

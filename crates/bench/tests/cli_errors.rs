@@ -38,6 +38,17 @@ fn unwritable_out_exits_2() {
 }
 
 #[test]
+fn unwritable_trace_exits_2() {
+    // A trace path beneath a regular file can never be opened.
+    let trace = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml").join("x.jsonl");
+    let trace = trace.to_str().expect("utf-8 path");
+    for bin in [env!("CARGO_BIN_EXE_failure_drill"), env!("CARGO_BIN_EXE_fig6")] {
+        let args = ["--rounds", "30", "--trace", trace];
+        assert_usage_error(&run(bin, &args), "cannot open trace output");
+    }
+}
+
+#[test]
 fn threads_flag_is_rejected() {
     assert_usage_error(&run(env!("CARGO_BIN_EXE_fig6"), &["--threads", "2"]), "--threads");
 }

@@ -21,8 +21,9 @@
 //!    buffer when its round comes is a **hiccup** — the paper's
 //!    guarantee is that schemes 1–5 never hiccup through a single disk
 //!    failure, and the simulator's whole purpose is to check exactly
-//!    that, byte-for-byte: reconstructed blocks are XOR-verified against
-//!    the synthetic ground truth.
+//!    that, byte-for-byte: reconstructed blocks are verified against the
+//!    synthetic ground truth through the group's erasure codec
+//!    (`codec_for`: XOR parity for `m = 1`, Reed–Solomon for `m ≥ 2`).
 //!
 //! The simulator is deterministic under a fixed seed, which makes the
 //! Figure 6 reproduction and the failure-drill tests exact.

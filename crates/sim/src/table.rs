@@ -28,9 +28,9 @@
 //!   inserts).
 //!
 //! The buffer map (`avail`) and reconstruction counters
-//! (`recon_pending`) that were per-client `BTreeMap`s become small
-//! sorted vectors whose capacity is retained across slot reuse — see
-//! the `sv_*` helpers.
+//! (`recon_pending`, one [`Countdown`] per lost block) that were
+//! per-client `BTreeMap`s become small sorted vectors whose capacity is
+//! retained across slot reuse — see the `sv_*` helpers.
 
 use cms_core::{RequestId, Scheme};
 use cms_workload::ClipPlacement;
@@ -60,7 +60,7 @@ pub(crate) struct StreamTable {
     /// Sorted `(idx, round available)` buffer map per slot.
     pub(crate) avail: Vec<Vec<(u64, u64)>>,
     /// Sorted `(idx, outstanding reads)` reconstruction counters.
-    pub(crate) recon_pending: Vec<Vec<(u64, u32)>>,
+    pub(crate) recon_pending: Vec<Vec<(u64, Countdown)>>,
     /// Reusable slots of completed/lost streams.
     free: Vec<u32>,
     /// Live iteration order: `(id, slot)` ascending by id, with lazy
@@ -283,6 +283,58 @@ pub(crate) fn sv_remove<V>(map: &mut Vec<(u64, V)>, key: u64) -> Option<V> {
     Some(map.remove(at).1)
 }
 
+/// The survivor-read countdown of one block being reconstructed or
+/// rebuilt: how many reads are still *expected to arrive* (strands lower
+/// it) and how many are still *pending* (arrivals and strands both lower
+/// it), packed 16/16 bits. The block decodes when nothing is pending; it
+/// is lost once fewer than its decode threshold `k` can still arrive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Countdown(u32);
+
+/// What stranding one pending read leaves of a block's decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Strand {
+    /// Fewer than `k` reads can still arrive: the block is unrecoverable.
+    Lost,
+    /// Every other read already arrived, and they suffice.
+    Decoded,
+    /// Enough reads will still arrive; some are pending.
+    Waiting,
+}
+
+impl Countdown {
+    /// A countdown awaiting `reads` survivor reads.
+    #[inline]
+    pub(crate) fn new(reads: u32) -> Self {
+        debug_assert!(reads <= 0xFFFF, "countdown holds at most 0xFFFF reads");
+        Countdown((reads << 16) | reads)
+    }
+
+    /// One expected read arrived (the expected half is untouched).
+    /// Returns whether nothing is pending any more: the block decodes.
+    #[inline]
+    // lint: hot
+    pub(crate) fn arrive(&mut self) -> bool {
+        self.0 -= 1;
+        self.0 & 0xFFFF == 0
+    }
+
+    /// One pending read was stranded by an outage and will never arrive.
+    /// `k` is the block's decode threshold.
+    pub(crate) fn strand(&mut self, k: u32) -> Strand {
+        let expected = (self.0 >> 16) - 1;
+        let pending = (self.0 & 0xFFFF) - 1;
+        self.0 = (expected << 16) | pending;
+        if expected < k {
+            Strand::Lost
+        } else if pending == 0 {
+            Strand::Decoded
+        } else {
+            Strand::Waiting
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,7 +368,7 @@ mod tests {
 
     /// Per-stream reference state: placement, admission round, and the
     /// avail / recon-pending maps the per-slot sorted vectors replace.
-    type ModelClient = (ClipPlacement, u64, BTreeMap<u64, u64>, BTreeMap<u64, u32>);
+    type ModelClient = (ClipPlacement, u64, BTreeMap<u64, u64>, BTreeMap<u64, Countdown>);
 
     /// The model the table must be observationally equal to: the old
     /// engine's `BTreeMap<RequestId, Client>` with the fields the round
@@ -379,13 +431,13 @@ mod tests {
                                 avail.remove(&idx)
                             );
                         }
-                        sv_insert(&mut table.recon_pending[slot], idx, 2u32);
-                        recon.insert(idx, 2u32);
+                        sv_insert(&mut table.recon_pending[slot], idx, Countdown::new(2));
+                        recon.insert(idx, Countdown::new(2));
                         if let Some(n) = sv_get_mut(&mut table.recon_pending[slot], idx) {
-                            *n -= 1;
+                            n.arrive();
                         }
                         if let Some(n) = recon.get_mut(&idx) {
-                            *n -= 1;
+                            n.arrive();
                         }
                     }
                 }
@@ -407,7 +459,7 @@ mod tests {
                     let t_avail: Vec<(u64, u64)> =
                         avail.iter().map(|(&k, &v)| (k, v)).collect();
                     prop_assert_eq!(&table.avail[slot], &t_avail, "avail map diverged");
-                    let t_recon: Vec<(u64, u32)> =
+                    let t_recon: Vec<(u64, Countdown)> =
                         recon.iter().map(|(&k, &v)| (k, v)).collect();
                     prop_assert_eq!(&table.recon_pending[slot], &t_recon);
                     for (&k, &v) in avail {
@@ -417,6 +469,24 @@ mod tests {
                 prop_assert_eq!(table.slot_of(RequestId(next_id)), None, "future id resolved");
             }
         }
+    }
+
+    #[test]
+    fn countdown_strands_against_the_decode_threshold() {
+        // Five survivors, k = 4: one strand still leaves four expected.
+        let mut c = Countdown::new(5);
+        assert!(!c.arrive());
+        assert_eq!(c.strand(4), Strand::Waiting);
+        assert!(!c.arrive());
+        assert!(!c.arrive());
+        assert!(c.arrive(), "the last pending arrival decodes the block");
+        // Everything else already arrived: the strand completes the decode.
+        let mut c = Countdown::new(2);
+        assert!(!c.arrive());
+        assert_eq!(c.strand(1), Strand::Decoded);
+        // Single parity: any strand drops below k.
+        let mut c = Countdown::new(3);
+        assert_eq!(c.strand(3), Strand::Lost);
     }
 
     #[test]

@@ -18,7 +18,9 @@ pub struct BlockRequest {
     /// Block number on that disk.
     pub block_no: u64,
     /// The clip the retrieval serves (parity reads use the clip they
-    /// reconstruct for).
+    /// reconstruct for). Informational only: service timing never reads
+    /// it, and a caller that does not track clips per read (the
+    /// simulation engine) passes the placeholder `ClipId(u64::MAX)`.
     pub clip: ClipId,
     /// `true` when this is an extra retrieval triggered by a disk failure
     /// (a surviving data/parity block of some group under reconstruction).
@@ -57,19 +59,35 @@ pub fn sweep_order(cylinders: &[u32], head: u32) -> Vec<usize> {
 /// per-round hot path (DESIGN.md §7): in steady state the buffer reaches
 /// the round budget `q` once and never reallocates again.
 ///
-/// The sweep halves are sorted unstably on the composite key
-/// `(cylinder, index)` — unique per element, so the result is fully
-/// deterministic and identical to a stable sort on the cylinder alone,
-/// without the merge-buffer allocation `slice::sort` performs.
+/// Each request becomes one integer key, `(below head, cylinder, index)`
+/// packed high to low into 1, 32 and 31 bits, so a single `sort_unstable`
+/// over plain integers yields the sweep order: the requests at or above
+/// the head first, each half by cylinder, equal cylinders by index. The
+/// keys are unique, so the order is fully deterministic and identical to
+/// a stable sort of each half on the cylinder alone. Masking the index
+/// back out in place turns the sorted keys into the output.
 // lint: hot
 pub fn sweep_order_into(cylinders: &[u32], head: u32, out: &mut Vec<usize>) {
     out.clear();
-    out.extend((0..cylinders.len()).filter(|&i| cylinders[i] >= head));
-    let split = out.len();
-    out.extend((0..cylinders.len()).filter(|&i| cylinders[i] < head));
-    out[..split].sort_unstable_by_key(|&i| (cylinders[i], i));
-    out[split..].sort_unstable_by_key(|&i| (cylinders[i], i));
+    if usize::BITS < 64 || cylinders.len() > INDEX_MASK as usize + 1 {
+        // The key does not fit a `usize`: sort indices on the same key.
+        out.extend(0..cylinders.len());
+        out.sort_unstable_by_key(|&i| (cylinders[i] < head, cylinders[i], i));
+        return;
+    }
+    out.extend(cylinders.iter().enumerate().map(|(i, &c)| {
+        (u64::from(c < head) << 63 | u64::from(c) << INDEX_BITS | i as u64) as usize
+    }));
+    out.sort_unstable();
+    for key in out.iter_mut() {
+        *key &= INDEX_MASK as usize;
+    }
 }
+
+/// Bits of a [`sweep_order_into`] key that hold the request index.
+const INDEX_BITS: u32 = 31;
+/// Mask of the index bits of a [`sweep_order_into`] key.
+const INDEX_MASK: u64 = (1 << INDEX_BITS) - 1;
 
 /// Total head travel (in cylinders) of a C-SCAN pass over `cylinders`
 /// starting at `head`, counting the wrap-around as a seek from the top of
@@ -90,6 +108,7 @@ pub fn sweep_travel(cylinders: &[u32], head: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn orders_ascending_from_head() {
@@ -134,26 +153,58 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sweep_order_into_matches_allocating_form_and_reuses_capacity() {
-        // Pseudo-random cylinder sets with deliberate duplicates, swept
-        // from heads on both sides of the data.
-        let mut state = 0x5EEDu64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as u32 % 512
-        };
-        let mut buf = Vec::new();
-        for len in [0usize, 1, 2, 7, 31, 100] {
-            let cyl: Vec<u32> = (0..len).map(|_| next()).collect();
-            for head in [0u32, 128, 511, 600] {
-                sweep_order_into(&cyl, head, &mut buf);
-                assert_eq!(buf, sweep_order(&cyl, head), "len {len}, head {head}");
-            }
+    /// The two-pass, two-sort C-SCAN order that the packed-key sort
+    /// replaced, kept as the oracle: the indices at or above the head,
+    /// then those below it, each half sorted on `(cylinder, index)`.
+    fn sweep_order_reference(cylinders: &[u32], head: u32) -> Vec<usize> {
+        let mut out: Vec<usize> = (0..cylinders.len()).filter(|&i| cylinders[i] >= head).collect();
+        let split = out.len();
+        out.extend((0..cylinders.len()).filter(|&i| cylinders[i] < head));
+        out[..split].sort_unstable_by_key(|&i| (cylinders[i], i));
+        out[split..].sort_unstable_by_key(|&i| (cylinders[i], i));
+        out
+    }
+
+    /// Cylinder sets up to a generous round budget: a narrow range that
+    /// forces duplicate cylinders, or the whole `u32` range.
+    fn cylinder_sets() -> impl Strategy<Value = Vec<u32>> {
+        prop_oneof![
+            prop::collection::vec(0u32..16, 0..129),
+            prop::collection::vec(any::<u32>(), 0..129),
+        ]
+    }
+
+    proptest! {
+        /// The packed-key sort reproduces the reference order for heads
+        /// below, inside and above every cylinder of the set.
+        #[test]
+        fn sweep_order_into_matches_two_sort_reference(
+            cylinders in cylinder_sets(),
+            probe in any::<u32>(),
+            pick in 0usize..6,
+        ) {
+            let lo = cylinders.iter().copied().min().unwrap_or(0);
+            let hi = cylinders.iter().copied().max().unwrap_or(0);
+            let head = match pick {
+                0 => 0,
+                1 => lo,
+                2 => hi,
+                3 => hi.saturating_add(1),
+                4 => u32::MAX,
+                _ => probe,
+            };
+            let mut out = Vec::new();
+            sweep_order_into(&cylinders, head, &mut out);
+            prop_assert_eq!(out, sweep_order_reference(&cylinders, head));
         }
+    }
+
+    #[test]
+    fn sweep_order_into_reuses_capacity() {
         // Steady state: a second fill of the same size must not grow the
         // buffer.
-        let cyl: Vec<u32> = (0..64).map(|_| next()).collect();
+        let cyl: Vec<u32> = (0..64u32).map(|i| (i * 37) % 512).collect();
+        let mut buf = Vec::new();
         sweep_order_into(&cyl, 100, &mut buf);
         let cap = buf.capacity();
         sweep_order_into(&cyl, 300, &mut buf);

@@ -1,9 +1,16 @@
 //! Simulation configuration.
 
-use cms_core::{CmsError, DiskId, Scheme};
+use cms_core::{CmsError, DiskId, DiskParams, Scheme};
 use cms_fault::FaultSchedule;
 use cms_model::CapacityPoint;
 use cms_trace::TraceSpec;
+
+/// The largest `d · q` a configuration may ask for. Construction
+/// pre-grows a `q`-read arena per disk (DESIGN.md §7), so this product
+/// bounds that memory up front; with `q ≥ 1` it bounds `d` as well, and
+/// through `p ≤ d` each stream's buffer window. About twenty times the
+/// 1,000-disk, q = 52 `giant` scenario.
+const MAX_ROUND_READS: u64 = 1 << 20;
 
 /// A single-disk failure (and optional repair) to inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,7 +200,8 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns [`CmsError::InvalidParams`] for empty catalogs, zero-length
-    /// clips, zero budgets or out-of-range failure disks.
+    /// clips, zero budgets, a budget `q` above the blocks a disk holds, a
+    /// `d · q` above 2^20, or out-of-range failure disks.
     pub fn validate(&self) -> Result<(), CmsError> {
         if self.d < 2 || self.p < 2 || self.p > self.d {
             return Err(CmsError::invalid_params("need d >= 2 and 2 <= p <= d"));
@@ -214,8 +222,22 @@ impl SimConfig {
                 "q, catalog size, clip length and duration must be >= 1",
             ));
         }
-        if self.block_bytes == 0 {
-            return Err(CmsError::invalid_params("block size must be >= 1"));
+        let capacity = DiskParams::sigmod96().capacity;
+        if self.block_bytes == 0 || self.block_bytes > capacity {
+            return Err(CmsError::invalid_params("block size must be in 1..=disk capacity"));
+        }
+        let blocks_per_disk = capacity / self.block_bytes;
+        if u64::from(self.q) > blocks_per_disk {
+            return Err(CmsError::invalid_params(format!(
+                "q = {} exceeds the {blocks_per_disk} blocks a disk holds",
+                self.q
+            )));
+        }
+        if u64::from(self.d) * u64::from(self.q) > MAX_ROUND_READS {
+            return Err(CmsError::invalid_params(format!(
+                "d · q = {} · {} exceeds the {MAX_ROUND_READS} reads per round",
+                self.d, self.q
+            )));
         }
         if let Some(fs) = &self.failure {
             if fs.disk.raw() >= self.d {
@@ -299,6 +321,33 @@ mod tests {
         let mut c = SimConfig::sigmod96(Scheme::DeclusteredParity, &point(), 32);
         c.arrival_rate = f64::NAN;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn round_budget_and_array_size_are_bounded() {
+        let invalid = |c: &SimConfig| matches!(c.validate(), Err(CmsError::InvalidParams { .. }));
+        // q above the 8,192 blocks a 2 GiB disk holds at 256 KiB, e.g.
+        // u32::MAX, which would otherwise abort allocating its arenas.
+        let mut c = SimConfig::sigmod96(Scheme::DeclusteredParity, &point(), 32);
+        c.q = 8192;
+        c.validate().unwrap();
+        c.q = 8193;
+        assert!(invalid(&c));
+        c.q = u32::MAX;
+        assert!(invalid(&c));
+        // d · q above 2^20, with q small enough for the disk.
+        let mut c = SimConfig::sigmod96(Scheme::DeclusteredParity, &point(), 32);
+        c.d = u32::MAX;
+        assert!(invalid(&c));
+        c.d = 1 << 16;
+        c.q = 16;
+        c.validate().unwrap();
+        c.q = 17;
+        assert!(invalid(&c));
+        // The giant scenario's shape still validates.
+        let mut c = SimConfig::sigmod96(Scheme::DeclusteredParity, &point(), 1000);
+        (c.q, c.block_bytes) = (52, 1 << 20);
+        c.validate().unwrap();
     }
 
     #[test]

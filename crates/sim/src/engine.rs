@@ -21,7 +21,7 @@ mod serve;
 
 use crate::config::SimConfig;
 use crate::metrics::Metrics;
-use crate::table::StreamTable;
+use crate::table::{buffer_window, StreamTable};
 use admit::{PausedClient, PendingPlay};
 use cms_admission::{
     Admission, DeclusteredAdmission, DynamicAdmission, FlatAdmission, NonClusteredAdmission,
@@ -39,11 +39,16 @@ use faults::RebuildState;
 use serve::{DiskRound, RoundScratch};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One scheduled disk read.
+/// Marks an absent block in [`Fetch`]'s three block fields. Clip-block
+/// indices and disk block numbers never reach it.
+const NO_BLOCK: u64 = u64::MAX;
+
+/// One scheduled disk read. Every read is copied through staging, the
+/// EDF queue and delivery, so the record is kept to 72 bytes: the three
+/// purposes are plain `u64`s with a sentinel rather than `Option`s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Fetch {
     client: RequestId,
-    clip: ClipId,
     loc: BlockLocation,
     /// Round the block this read contributes to will be consumed.
     needed: u64,
@@ -52,14 +57,14 @@ struct Fetch {
     /// per-round *stable* sort on `needed` produced: among equal
     /// deadlines, earlier-issued fetches serve first (DESIGN.md §7).
     seq: u64,
-    /// Clip-block index this read delivers directly, if any.
-    serves: Option<u64>,
+    /// Clip-block index this read delivers directly, or `NO_BLOCK`.
+    serves: u64,
     /// Clip-block index whose reconstruction this read contributes to,
-    /// if any.
-    recon_for: Option<u64>,
+    /// or `NO_BLOCK`.
+    recon_for: u64,
     /// Failed-disk block number this read helps rebuild onto the spare,
-    /// if this is a background-rebuild read.
-    rebuild_for: Option<u64>,
+    /// or `NO_BLOCK` unless this is a background-rebuild read.
+    rebuild_for: u64,
     /// The issuing stream's [`StreamTable`] slot at issue time
     /// (`u32::MAX` for rebuild reads, which have no stream). Delivery
     /// revalidates it against `client` — a completed stream's slot may
@@ -67,11 +72,29 @@ struct Fetch {
     slot: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<Fetch>() == 72);
+
 impl Fetch {
     /// A read of `loc` for stream `(client, slot)`, due by round
     /// `needed`, with no purpose set; `push_fetch` stamps `seq`.
-    fn read(client: RequestId, slot: u32, clip: ClipId, loc: BlockLocation, needed: u64) -> Self {
-        Fetch { client, clip, loc, needed, seq: 0, serves: None, recon_for: None, rebuild_for: None, slot }
+    fn read(client: RequestId, slot: u32, loc: BlockLocation, needed: u64) -> Self {
+        let (serves, recon_for, rebuild_for) = (NO_BLOCK, NO_BLOCK, NO_BLOCK);
+        Fetch { client, loc, needed, seq: 0, serves, recon_for, rebuild_for, slot }
+    }
+
+    /// The clip-block index this read delivers directly, if any.
+    fn serves(&self) -> Option<u64> {
+        (self.serves != NO_BLOCK).then_some(self.serves)
+    }
+
+    /// The clip-block index this read helps reconstruct, if any.
+    fn recon_for(&self) -> Option<u64> {
+        (self.recon_for != NO_BLOCK).then_some(self.recon_for)
+    }
+
+    /// The failed-disk block number this read helps rebuild, if any.
+    fn rebuild_for(&self) -> Option<u64> {
+        (self.rebuild_for != NO_BLOCK).then_some(self.rebuild_for)
     }
 }
 
@@ -319,7 +342,7 @@ impl Simulator {
             workers,
             pending: PendingList::new(),
             paused: BTreeMap::new(),
-            table: StreamTable::default(),
+            table: StreamTable::new(buffer_window(cfg.scheme, span)),
             layout,
             catalog,
             admission,
@@ -541,9 +564,11 @@ impl Simulator {
     }
 
     /// Is `disk` unavailable for service (hard-failed or transiently
-    /// down)?
+    /// down)? The array's status is the one record: every outage and
+    /// return updates it before the engine's own `failed` and
+    /// `transient_until` bookkeeping.
     fn is_down(&self, disk: DiskId) -> bool {
-        self.failed.contains(&disk) || self.transient_until.contains_key(&disk)
+        self.array.is_down(disk)
     }
 
     /// The group span `k = p − m`: data blocks fetched per group, the
@@ -759,6 +784,24 @@ mod tests {
             Some(true),
             "summary runs alongside the ring"
         );
+    }
+
+    #[test]
+    fn an_unbounded_round_budget_is_an_error_not_an_abort() {
+        for scheme in Scheme::ALL {
+            let cfg = SimConfig { q: u32::MAX, ..small_cfg(scheme) };
+            let err = Simulator::new(cfg).err();
+            assert!(matches!(err, Some(CmsError::InvalidParams { .. })), "{scheme}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn an_overflowing_clip_length_is_an_error_not_a_panic() {
+        for scheme in Scheme::ALL {
+            let cfg = SimConfig { clip_len: u64::MAX, ..small_cfg(scheme) };
+            let err = Simulator::new(cfg).err();
+            assert!(matches!(err, Some(CmsError::InvalidParams { .. })), "{scheme}: {err:?}");
+        }
     }
 
     #[test]

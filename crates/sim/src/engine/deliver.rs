@@ -5,7 +5,7 @@
 //! missing when its round comes is a hiccup.
 
 use super::{emit, Fetch, Simulator};
-use crate::table::{sv_get, sv_get_mut, sv_insert, sv_or_insert, sv_remove, Countdown};
+use crate::table::{sv_get_mut, sv_remove, Countdown};
 use cms_core::RequestId;
 use cms_layout::StreamAddr;
 use cms_parity::{codec_for, Block, ErasureCodec};
@@ -33,7 +33,7 @@ impl Simulator {
     // lint: hot
     pub(super) fn deliver(&mut self, fetch: Fetch) {
         self.metrics.blocks_fetched += 1;
-        if let Some(block_no) = fetch.rebuild_for {
+        if let Some(block_no) = fetch.rebuild_for() {
             let decoded = self
                 .rebuild
                 .as_mut()
@@ -51,19 +51,19 @@ impl Simulator {
                 self.t,
                 EventKind::LateServe {
                     request: fetch.client.raw(),
-                    block: fetch.serves.or(fetch.recon_for).unwrap_or(0),
+                    block: fetch.serves().or(fetch.recon_for()).unwrap_or(0),
                 },
             );
         }
         if !self.table.live(fetch.client, fetch.slot) {
             return; // client already completed (stale recovery read)
         }
-        let slot = fetch.slot as usize;
-        if let Some(idx) = fetch.serves {
-            sv_or_insert(&mut self.table.avail[slot], idx, self.t + 1);
+        if let Some(idx) = fetch.serves() {
+            self.table.buffer_block(fetch.slot, idx, self.t + 1);
         }
-        if let Some(idx) = fetch.recon_for {
-            if sv_get_mut(&mut self.table.recon_pending[slot], idx).is_some_and(Countdown::arrive) {
+        if let Some(idx) = fetch.recon_for() {
+            let pending = &mut self.table.recon_pending[fetch.slot as usize];
+            if sv_get_mut(pending, idx).is_some_and(Countdown::arrive) {
                 self.complete_reconstruction(fetch.client, fetch.slot, idx);
             }
         }
@@ -76,7 +76,7 @@ impl Simulator {
     pub(super) fn complete_reconstruction(&mut self, id: RequestId, slot: u32, idx: u64) {
         let s = slot as usize;
         sv_remove(&mut self.table.recon_pending[s], idx);
-        sv_insert(&mut self.table.avail[s], idx, self.t + 1);
+        self.table.rebuffer_block(slot, idx, self.t + 1);
         self.metrics.reconstructions += 1;
         emit(&mut self.tracer, self.t, EventKind::Reconstruction { request: id.raw(), block: idx });
         if self.cfg.verify_parity {
@@ -158,30 +158,25 @@ impl Simulator {
                 && self.t >= self.table.consume_round(slot, self.table.consumed[s], scheme, span)
             {
                 let idx = self.table.consumed[s];
-                match sv_get(&self.table.avail[s], idx) {
-                    Some(avail_at) if avail_at <= self.t => {
-                        sv_remove(&mut self.table.avail[s], idx);
-                        self.metrics.blocks_consumed += 1;
-                    }
-                    _ => {
-                        // Not in the buffer when its round came: the
-                        // playback glitch the guarantee schemes must
-                        // never produce.
-                        self.metrics.hiccups += 1;
-                        emit(
-                            &mut self.tracer,
-                            self.t,
-                            EventKind::Hiccup { request: id.raw(), block: idx },
-                        );
-                    }
+                if self.table.consume_next(slot, self.t) {
+                    self.metrics.blocks_consumed += 1;
+                } else {
+                    // Not in the buffer when its round came: the
+                    // playback glitch the guarantee schemes must never
+                    // produce.
+                    self.metrics.hiccups += 1;
+                    let hiccup = EventKind::Hiccup { request: id.raw(), block: idx };
+                    emit(&mut self.tracer, self.t, hiccup);
                 }
-                self.table.consumed[s] += 1;
             }
-            buffered += self.table.avail[s].len() as u64;
+            buffered += self.table.buffered_ahead(slot);
             if self.table.consumed[s] >= len {
                 done.push((id, slot));
             }
         }
+        // Blocks left behind consumption stay buffered until their
+        // stream ends.
+        buffered += self.table.buffered_behind();
         self.metrics.peak_buffered_blocks = self.metrics.peak_buffered_blocks.max(buffered);
         for &(id, slot) in &done {
             self.table.remove(id, slot);

@@ -170,7 +170,7 @@ impl Simulator {
         self.flush_disk(disk.idx());
         let stranded = std::mem::take(&mut self.queues[disk.idx()]);
         for fetch in stranded {
-            if let Some(idx) = fetch.recon_for {
+            if let Some(idx) = fetch.recon_for() {
                 // This read was reconstructing `idx` from survivors;
                 // losing a survivor means one fewer shard will ever
                 // arrive. Fatal iff the rest cannot reach the decode
@@ -178,10 +178,10 @@ impl Simulator {
                 self.strand_recon(fetch.client, fetch.slot, idx);
                 continue;
             }
-            if let Some(idx) = fetch.serves {
+            if let Some(idx) = fetch.serves() {
                 self.schedule_recovery(fetch.client, fetch.slot, idx, fetch.needed);
             }
-            if let Some(block_no) = fetch.rebuild_for {
+            if let Some(block_no) = fetch.rebuild_for() {
                 self.abandon_rebuild_block(block_no);
             }
         }

@@ -4,9 +4,9 @@
 //! lowest-priority source reads. Every read is staged per disk by
 //! [`Simulator::push_fetch`] for the serve phase's EDF merge.
 
-use super::{emit, Fetch, Simulator};
+use super::{emit, Fetch, Simulator, NO_BLOCK};
 use crate::table::{sv_insert, Countdown};
-use cms_core::{ClipId, RequestId, Scheme};
+use cms_core::{RequestId, Scheme};
 use cms_layout::{BlockLocation, Slot, StreamAddr};
 use cms_trace::EventKind;
 
@@ -49,9 +49,8 @@ impl Simulator {
                 continue;
             }
             let total = reads.len();
-            reads.retain(|l| {
-                !self.failed.contains(&l.disk) && !self.transient_until.contains_key(&l.disk)
-            });
+            let array = &self.array;
+            reads.retain(|l| !array.is_down(l.disk));
             if total - reads.len() >= self.cfg.m as usize {
                 // Further outages removed more sources than the code's
                 // `m − 1` spare-shard slack can stand: the rebuild
@@ -70,8 +69,8 @@ impl Simulator {
             self.metrics.rebuild_reads += 1;
             self.metrics.disk_rebuild_reads[loc.disk.idx()] += 1;
             // No stream, and the lowest EDF priority: slack only.
-            let read = Fetch::read(RequestId(u64::MAX), u32::MAX, ClipId(u64::MAX), loc, u64::MAX);
-            self.push_fetch(Fetch { rebuild_for: Some(block_no), ..read });
+            let read = Fetch::read(RequestId(u64::MAX), u32::MAX, loc, u64::MAX);
+            self.push_fetch(Fetch { rebuild_for: block_no, ..read });
         }
         self.scratch.rebuild_batch = batch;
         self.scratch.reads = reads;
@@ -122,35 +121,24 @@ impl Simulator {
                 group_end
             } else {
                 // Double-buffered single-block retrieval: one block per
-                // round, in lock-step with admission's rotation model.
+                // round, in lock-step with admission's rotation model;
+                // recovery reads stand in when the block's disk is down.
                 if self.t < admitted_at + issued {
                     continue;
                 }
                 let needed = self.table.consume_round(slot, issued, scheme, span);
-                self.issue_data_fetch(id, slot, issued, needed);
+                let addr = StreamAddr::new(placement.stream, placement.start_index + issued);
+                let loc = self.layout.locate(addr);
+                if self.is_down(loc.disk) {
+                    self.schedule_recovery(id, slot, issued, needed);
+                } else {
+                    self.push_fetch(Fetch { serves: issued, ..Fetch::read(id, slot, loc, needed) });
+                }
                 issued + 1
             };
             if self.table.live(id, slot) {
                 self.table.issued[s] = issued_to;
             }
-        }
-    }
-
-    /// Issues the single-block fetch for `idx`, or recovery reads if its
-    /// disk is down.
-    // lint: hot
-    fn issue_data_fetch(&mut self, id: RequestId, slot: u32, idx: u64, needed: u64) {
-        if !self.table.live(id, slot) {
-            return; // stream already lost or completed
-        }
-        let placement = self.table.placement[slot as usize];
-        let addr = StreamAddr::new(placement.stream, placement.start_index + idx);
-        let clip = placement.id;
-        let loc = self.layout.locate(addr);
-        if self.is_down(loc.disk) {
-            self.schedule_recovery(id, slot, idx, needed);
-        } else {
-            self.push_fetch(Fetch { serves: Some(idx), ..Fetch::read(id, slot, clip, loc, needed) });
         }
     }
 
@@ -168,7 +156,6 @@ impl Simulator {
             return; // stream already lost or completed
         }
         let placement = self.table.placement[slot as usize];
-        let clip = placement.id;
         let scheme = self.cfg.scheme;
         let span = self.group_span();
 
@@ -212,8 +199,8 @@ impl Simulator {
         for &(idx, loc) in &healthy {
             let due = self.table.consume_round(slot, idx, scheme, span);
             let needed = lost_needed.map_or(due, |ln| due.min(ln));
-            let read = Fetch::read(id, slot, clip, loc, needed);
-            self.push_fetch(Fetch { serves: Some(idx), recon_for: recon_first, ..read });
+            let recon_for = recon_first.unwrap_or(NO_BLOCK);
+            self.push_fetch(Fetch { serves: idx, recon_for, ..Fetch::read(id, slot, loc, needed) });
         }
         // Redundancy reads: always for streaming RAID; on failure for
         // the pre-fetching schemes (unless only redundancy disks died,
@@ -223,8 +210,8 @@ impl Simulator {
                 let needed = lost_needed
                     .unwrap_or_else(|| self.table.consume_round(slot, start, scheme, span));
                 match recon_first {
-                    Some(idx) => self.issue_recovery_read(id, slot, clip, r_loc, needed, idx),
-                    None => self.push_fetch(Fetch::read(id, slot, clip, r_loc, needed)),
+                    Some(idx) => self.issue_recovery_read(id, slot, r_loc, needed, idx),
+                    None => self.push_fetch(Fetch::read(id, slot, r_loc, needed)),
                 }
             }
         }
@@ -241,7 +228,7 @@ impl Simulator {
             if nth > 0 {
                 let needed = self.table.consume_round(slot, idx, scheme, span);
                 for &loc in healthy.iter().map(|(_, loc)| loc).chain(&redundancy) {
-                    self.issue_recovery_read(id, slot, clip, loc, needed, idx);
+                    self.issue_recovery_read(id, slot, loc, needed, idx);
                 }
             }
             self.await_reconstruction(id, slot, idx, survivors);
@@ -258,7 +245,6 @@ impl Simulator {
             return; // stream already lost or completed
         }
         let placement = self.table.placement[slot as usize];
-        let clip = placement.id;
         let addr = StreamAddr::new(placement.stream, placement.start_index + idx);
         let mut reads = std::mem::take(&mut self.scratch.reads);
         self.layout.reconstruction_reads_into(addr, &mut reads);
@@ -276,7 +262,7 @@ impl Simulator {
             return;
         }
         for &loc in &reads {
-            self.issue_recovery_read(id, slot, clip, loc, needed, idx);
+            self.issue_recovery_read(id, slot, loc, needed, idx);
         }
         let survivors = reads.len() as u32;
         self.scratch.reads = reads;
@@ -290,12 +276,11 @@ impl Simulator {
         &mut self,
         id: RequestId,
         slot: u32,
-        clip: ClipId,
         loc: BlockLocation,
         needed: u64,
         idx: u64,
     ) {
-        self.push_fetch(Fetch { recon_for: Some(idx), ..Fetch::read(id, slot, clip, loc, needed) });
+        self.push_fetch(Fetch { recon_for: idx, ..Fetch::read(id, slot, loc, needed) });
         self.metrics.recovery_reads += 1;
         self.metrics.disk_recovery_reads[loc.disk.idx()] += 1;
         emit(

@@ -4,7 +4,7 @@
 //! disks in ID order and hands each served fetch to delivery.
 
 use super::{emit, Fetch, Simulator};
-use cms_core::Scheme;
+use cms_core::{ClipId, Scheme};
 use cms_disk::{BlockRequest, Disk, RoundOutcome, ServiceContext};
 use cms_trace::EventKind;
 
@@ -101,11 +101,14 @@ fn serve_disk(
     } else {
         scratch.served.extend(queue.drain(..take));
     }
+    // The engine tracks reads per stream, not per clip, and the disk
+    // model never reads `clip`: every request carries the documented
+    // placeholder.
     scratch.requests.extend(scratch.served.iter().map(|f| BlockRequest {
         disk: disk.id,
         block_no: f.loc.block_no,
-        clip: f.clip,
-        reconstruction: f.recon_for.is_some(),
+        clip: ClipId(u64::MAX),
+        reconstruction: f.recon_for().is_some(),
     }));
     match disk.service_round_with(ctx, &scratch.requests, deadline, &mut scratch.disk) {
         Ok(outcome) => {
@@ -312,7 +315,8 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cms_core::{ClipId, DiskId, DiskParams, RequestId};
+    use crate::engine::NO_BLOCK;
+    use cms_core::{DiskId, DiskParams, RequestId};
     use cms_disk::{DiskArray, TimingModel};
     use cms_layout::BlockLocation;
     use proptest::prelude::*;
@@ -343,8 +347,8 @@ mod tests {
             .map(|f| BlockRequest {
                 disk: disk.id,
                 block_no: f.loc.block_no,
-                clip: f.clip,
-                reconstruction: f.recon_for.is_some(),
+                clip: ClipId(u64::MAX),
+                reconstruction: f.recon_for().is_some(),
             })
             .collect();
         match disk.service_round(ctx, &requests, deadline) {
@@ -404,13 +408,12 @@ mod tests {
                 for (needed, block_no, recon) in batch {
                     let fetch = Fetch {
                         client: RequestId(seq),
-                        clip: ClipId(seq % 7),
                         loc: BlockLocation { disk: DiskId(0), block_no },
                         needed,
                         seq,
-                        serves: (!recon).then_some(block_no),
-                        recon_for: recon.then_some(block_no),
-                        rebuild_for: None,
+                        serves: if recon { NO_BLOCK } else { block_no },
+                        recon_for: if recon { block_no } else { NO_BLOCK },
+                        rebuild_for: NO_BLOCK,
                         slot: 0,
                     };
                     seq += 1;

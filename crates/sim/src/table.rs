@@ -27,21 +27,60 @@
 //!   `order` in one pass (bulk `O(n + k)` instead of `k` mid-vector
 //!   inserts).
 //!
-//! The buffer map (`avail`) and reconstruction counters
-//! (`recon_pending`, one [`Countdown`] per lost block) that were
-//! per-client `BTreeMap`s become small sorted vectors whose capacity is
-//! retained across slot reuse — see the `sv_*` helpers.
+//! Each stream's block buffer is a fixed-stride window of one flat
+//! `ring` column (see [`buffer_window`] for the stride), so delivering
+//! and consuming a block is one indexed load or store. Blocks that land
+//! behind the consumption cursor move to the cold `behind` set. The
+//! reconstruction counters (`recon_pending`, one [`Countdown`] per lost
+//! block) are touched only while a disk is down and stay small sorted
+//! vectors whose capacity is retained across slot reuse — see the `sv_*`
+//! helpers.
 
 use cms_core::{RequestId, Scheme};
 use cms_workload::ClipPlacement;
+use std::collections::BTreeSet;
 
 /// Sentinel stored in [`StreamTable::request`] for a free slot. Real
 /// request ids count up from zero and never reach it.
 pub(crate) const FREE: RequestId = RequestId(u64::MAX);
 
+/// Sentinel stored in an empty [`StreamTable`] ring cell. Availability
+/// rounds count up from one and never reach it.
+const EMPTY: u64 = u64::MAX;
+
+/// The most blocks a stream of `scheme` holds between its consumption
+/// cursor and its fetch cursor, `issued − consumed`, at any point of a
+/// round; `span` is the group span `k = p − m`. Every buffered block
+/// that has not been consumed lies in `consumed..issued`, so a ring of
+/// this many cells per stream holds them all without collision.
+///
+/// With `a` the admission round, block `i` is consumed in round
+/// `a + i + 1`, so once round `t − 1` has consumed, `consumed ≥ t − 1 − a`:
+///
+/// - **Single-block schemes** fetch block `t − a` in round `t`, so
+///   `issued ≤ t − a + 1` and the difference is at most 2 (double
+///   buffering).
+/// - **Group prefetch** fetches `k` blocks every `k` rounds from `a`. In
+///   rounds `a + jk .. a + (j + 1)k`, `issued ≤ (j + 1)k` and
+///   `consumed ≥ jk − 1`: at most `k + 1`.
+/// - **Streaming RAID** fetches group `j` at the long-round boundary
+///   `b + jk` and consumes block `i` in round `b + k + i`, so through the
+///   long round `issued ≤ (j + 1)k` and `consumed ≥ (j − 1)k`: at most
+///   `2k`.
+///
+/// Both cursors move with the round clock alone, whatever is delivered,
+/// late or lost. `p ≤ d` bounds `k`, so `SimConfig::validate`'s disk
+/// bound caps the window too.
+pub(crate) fn buffer_window(scheme: Scheme, span: u64) -> u64 {
+    match scheme {
+        Scheme::StreamingRaid => 2 * span,
+        scheme if scheme.prefetches_groups() => span + 1,
+        _ => 2,
+    }
+}
+
 /// The dense stream store. Columns are indexed by slot; all slots with
 /// `request[slot] != FREE` are live.
-#[derive(Default)]
 pub(crate) struct StreamTable {
     /// Owning request per slot (`FREE` when the slot is on the free
     /// list). The staleness oracle for `order` entries and in-flight
@@ -57,8 +96,19 @@ pub(crate) struct StreamTable {
     pub(crate) issued: Vec<u64>,
     /// Consumption progress (blocks, in order; skipped blocks count).
     pub(crate) consumed: Vec<u64>,
-    /// Sorted `(idx, round available)` buffer map per slot.
-    pub(crate) avail: Vec<Vec<(u64, u64)>>,
+    /// The buffered blocks at or past `consumed`: `stride` cells per
+    /// slot, block `idx` in cell `slot·stride + idx mod stride`, holding
+    /// the round the block becomes available (`EMPTY` when absent).
+    ring: Vec<u64>,
+    /// Cells per slot in `ring`: [`buffer_window`] rounded up to a power
+    /// of two.
+    stride: usize,
+    /// Occupied `ring` cells per slot.
+    ring_len: Vec<u32>,
+    /// Buffered blocks behind `consumed`, as `(slot, idx)`: left at a
+    /// hiccup, or delivered after their consume round. Consumption never
+    /// looks back, so only their count matters (`peak_buffered_blocks`).
+    behind: BTreeSet<(u32, u64)>,
     /// Sorted `(idx, outstanding reads)` reconstruction counters.
     pub(crate) recon_pending: Vec<Vec<(u64, Countdown)>>,
     /// Reusable slots of completed/lost streams.
@@ -76,6 +126,29 @@ pub(crate) struct StreamTable {
 }
 
 impl StreamTable {
+    /// An empty table whose streams each buffer at most `window` blocks
+    /// ahead of consumption (see [`buffer_window`]).
+    pub(crate) fn new(window: u64) -> Self {
+        StreamTable {
+            request: Vec::new(),
+            placement: Vec::new(),
+            admitted_at: Vec::new(),
+            first_boundary: Vec::new(),
+            issued: Vec::new(),
+            consumed: Vec::new(),
+            ring: Vec::new(),
+            stride: window.max(1).next_power_of_two() as usize,
+            ring_len: Vec::new(),
+            behind: BTreeSet::new(),
+            recon_pending: Vec::new(),
+            free: Vec::new(),
+            order: Vec::new(),
+            staged: Vec::new(),
+            live: 0,
+            stale: 0,
+        }
+    }
+
     /// Number of live streams.
     pub(crate) fn len(&self) -> usize {
         self.live
@@ -114,7 +187,8 @@ impl StreamTable {
             self.first_boundary[i] = first_boundary;
             self.issued[i] = 0;
             self.consumed[i] = 0;
-            self.avail[i].clear();
+            self.ring[i * self.stride..(i + 1) * self.stride].fill(EMPTY);
+            self.ring_len[i] = 0;
             self.recon_pending[i].clear();
             slot
         } else {
@@ -125,7 +199,8 @@ impl StreamTable {
             self.first_boundary.push(first_boundary);
             self.issued.push(0);
             self.consumed.push(0);
-            self.avail.push(Vec::new());
+            self.ring.resize(self.ring.len() + self.stride, EMPTY);
+            self.ring_len.push(0);
             self.recon_pending.push(Vec::new());
             slot
         };
@@ -175,11 +250,15 @@ impl StreamTable {
         );
     }
 
-    /// Releases a live stream's slot. `order`'s entry for `id` goes
-    /// stale and is swept later by [`StreamTable::maybe_compact`].
+    /// Releases a live stream's slot and drops its blocks behind
+    /// consumption. `order`'s entry for `id` goes stale and is swept
+    /// later by [`StreamTable::maybe_compact`].
     // lint: hot
     pub(crate) fn remove(&mut self, id: RequestId, slot: u32) {
         debug_assert!(self.live(id, slot), "removing a slot the id no longer owns");
+        while let Some(&entry) = self.behind.range((slot, 0)..=(slot, u64::MAX)).next() {
+            self.behind.remove(&entry);
+        }
         self.request[slot as usize] = FREE;
         self.free.push(slot);
         self.live -= 1;
@@ -219,7 +298,9 @@ impl StreamTable {
         self.first_boundary.clear();
         self.issued.clear();
         self.consumed.clear();
-        self.avail.clear();
+        self.ring.clear();
+        self.ring_len.clear();
+        self.behind.clear();
         self.recon_pending.clear();
         self.free.clear();
         self.order.clear();
@@ -239,13 +320,79 @@ impl StreamTable {
             _ => self.admitted_at[slot as usize] + idx + 1,
         }
     }
-}
 
-/// `BTreeMap::get` over a sorted `(key, value)` vector.
-#[inline]
-// lint: hot
-pub(crate) fn sv_get<V: Copy>(map: &[(u64, V)], key: u64) -> Option<V> {
-    map.binary_search_by_key(&key, |&(k, _)| k).ok().map(|at| map[at].1)
+    /// Buffers block `idx` of `slot`, available from round `at`; a block
+    /// already buffered keeps its earlier arrival.
+    #[inline]
+    // lint: hot
+    pub(crate) fn buffer_block(&mut self, slot: u32, idx: u64, at: u64) {
+        self.buffer(slot, idx, at, false);
+    }
+
+    /// Buffers block `idx` of `slot`, available from round `at`,
+    /// replacing any earlier arrival (a completed reconstruction).
+    pub(crate) fn rebuffer_block(&mut self, slot: u32, idx: u64, at: u64) {
+        self.buffer(slot, idx, at, true);
+    }
+
+    #[inline]
+    // lint: hot
+    fn buffer(&mut self, slot: u32, idx: u64, at: u64, replace: bool) {
+        let s = slot as usize;
+        let consumed = self.consumed[s];
+        if idx < consumed {
+            // Landed after its consume round.
+            self.behind.insert((slot, idx));
+            return;
+        }
+        assert!(
+            idx - consumed < self.stride as u64,
+            "block {idx} is beyond the {}-block buffer window at {consumed}",
+            self.stride
+        );
+        let cell = &mut self.ring[s * self.stride + (idx as usize & (self.stride - 1))];
+        if *cell == EMPTY {
+            *cell = at;
+            self.ring_len[s] += 1;
+        } else if replace {
+            *cell = at;
+        }
+    }
+
+    /// Consumes the stream's next block in round `now` and advances its
+    /// cursor. Returns whether the block was buffered and available; a
+    /// block buffered but not yet available (it landed this round) is
+    /// left behind, still counted as buffered.
+    #[inline]
+    // lint: hot
+    pub(crate) fn consume_next(&mut self, slot: u32, now: u64) -> bool {
+        let s = slot as usize;
+        let idx = self.consumed[s];
+        self.consumed[s] = idx + 1;
+        // The window invariant: this cell holds block `idx` or nothing.
+        let cell = &mut self.ring[s * self.stride + (idx as usize & (self.stride - 1))];
+        let at = std::mem::replace(cell, EMPTY);
+        if at == EMPTY {
+            return false;
+        }
+        self.ring_len[s] -= 1;
+        if at > now {
+            self.behind.insert((slot, idx));
+            return false;
+        }
+        true
+    }
+
+    /// Blocks buffered at or past consumption by the stream in `slot`.
+    #[inline]
+    pub(crate) fn buffered_ahead(&self, slot: u32) -> u64 {
+        u64::from(self.ring_len[slot as usize])
+    }
+
+    /// Blocks buffered behind consumption, over all live streams.
+    pub(crate) fn buffered_behind(&self) -> u64 {
+        self.behind.len() as u64
+    }
 }
 
 /// `BTreeMap::get_mut` over a sorted `(key, value)` vector.
@@ -263,15 +410,6 @@ pub(crate) fn sv_insert<V>(map: &mut Vec<(u64, V)>, key: u64, value: V) {
     match map.binary_search_by_key(&key, |&(k, _)| k) {
         Ok(at) => map[at].1 = value,
         Err(at) => map.insert(at, (key, value)),
-    }
-}
-
-/// `BTreeMap::entry(..).or_insert` over a sorted `(key, value)` vector.
-#[inline]
-// lint: hot
-pub(crate) fn sv_or_insert<V>(map: &mut Vec<(u64, V)>, key: u64, value: V) {
-    if let Err(at) = map.binary_search_by_key(&key, |&(k, _)| k) {
-        map.insert(at, (key, value));
     }
 }
 
@@ -346,6 +484,9 @@ mod tests {
         ClipPlacement { id: ClipId(seed % 11), stream: (seed % 5) as u32, start_index: seed, len: seed % 40 + 1 }
     }
 
+    /// The buffer window the scripts run at: a ring stride of 4.
+    const WINDOW: u64 = 3;
+
     /// One scripted mutation against both the table and the reference
     /// `BTreeMap` model.
     #[derive(Debug, Clone)]
@@ -354,21 +495,30 @@ mod tests {
         Admit { count: u8 },
         /// Remove the `nth` live stream (mod live count).
         Remove { nth: u8 },
-        /// Mutate the `nth` live stream's per-block maps.
-        Touch { nth: u8, idx: u64 },
+        /// Deliver block `consumed − 2 + off` (so up to two blocks behind
+        /// consumption) to the `nth` live stream, available `lag` rounds
+        /// from now; `replace` overwrites an earlier arrival.
+        Deliver { nth: u8, off: u64, lag: u64, replace: bool },
+        /// Consume the `nth` live stream's next block this round.
+        Consume { nth: u8 },
+        /// Mutate the `nth` live stream's reconstruction counters.
+        Recon { nth: u8, idx: u64 },
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
             (1u8..6).prop_map(|count| Op::Admit { count }),
             any::<u8>().prop_map(|nth| Op::Remove { nth }),
-            (any::<u8>(), 0u64..50).prop_map(|(nth, idx)| Op::Touch { nth, idx }),
+            (any::<u8>(), 0..WINDOW + 2, 0u64..3, any::<bool>())
+                .prop_map(|(nth, off, lag, replace)| Op::Deliver { nth, off, lag, replace }),
+            any::<u8>().prop_map(|nth| Op::Consume { nth }),
+            (any::<u8>(), 0u64..50).prop_map(|(nth, idx)| Op::Recon { nth, idx }),
         ]
     }
 
-    /// Per-stream reference state: placement, admission round, and the
-    /// avail / recon-pending maps the per-slot sorted vectors replace.
-    type ModelClient = (ClipPlacement, u64, BTreeMap<u64, u64>, BTreeMap<u64, Countdown>);
+    /// Per-stream reference state: placement, admission round, blocks
+    /// consumed, and the buffer / recon-pending maps of the old engine.
+    type ModelClient = (ClipPlacement, u64, u64, BTreeMap<u64, u64>, BTreeMap<u64, Countdown>);
 
     /// The model the table must be observationally equal to: the old
     /// engine's `BTreeMap<RequestId, Client>` with the fields the round
@@ -378,14 +528,25 @@ mod tests {
         clients: BTreeMap<RequestId, ModelClient>,
     }
 
+    impl Model {
+        /// The `nth` live id (mod the live count), if any stream is live.
+        fn nth(&self, nth: u8) -> Option<RequestId> {
+            let len = self.clients.len();
+            (len > 0).then(|| *self.clients.keys().nth(nth as usize % len).unwrap())
+        }
+    }
+
     proptest! {
-        /// Replays random admission/removal/touch scripts and checks
-        /// that iteration order, membership, lookup and the per-slot
-        /// sorted-vector maps all match the `BTreeMap` reference the
-        /// engine used before the SoA refactor.
+        /// Replays random admission / removal / delivery / consumption
+        /// scripts and checks that iteration order, membership, lookup,
+        /// the ring buffer with its behind-consumption set, and the
+        /// reconstruction counters all match the `BTreeMap` reference the
+        /// engine used before the SoA refactor. Deliveries reach up to two
+        /// blocks behind consumption, and a block consumed in the round it
+        /// lands is left behind at the hiccup.
         #[test]
-        fn table_matches_btreemap_model(ops in prop::collection::vec(op_strategy(), 1..80)) {
-            let mut table = StreamTable::default();
+        fn table_matches_btreemap_model(ops in prop::collection::vec(op_strategy(), 1..120)) {
+            let mut table = StreamTable::new(WINDOW);
             let mut model = Model::default();
             let mut next_id = 0u64;
             let mut round = 0u64;
@@ -397,40 +558,51 @@ mod tests {
                             next_id += 1;
                             let pl = placement(next_id);
                             table.admit(id, pl, round, round + 3);
-                            model.clients.insert(id, (pl, round, BTreeMap::new(), BTreeMap::new()));
+                            model
+                                .clients
+                                .insert(id, (pl, round, 0, BTreeMap::new(), BTreeMap::new()));
                         }
                         table.flush_staged();
                     }
                     Op::Remove { nth } => {
-                        if model.clients.is_empty() {
-                            continue;
-                        }
-                        let nth = nth as usize % model.clients.len();
-                        let id = *model.clients.keys().nth(nth).unwrap();
+                        let Some(id) = model.nth(nth) else { continue };
                         model.clients.remove(&id);
                         let slot = table.slot_of(id).expect("model says live");
                         table.remove(id, slot);
                         table.maybe_compact();
                     }
-                    Op::Touch { nth, idx } => {
-                        if model.clients.is_empty() {
-                            continue;
+                    Op::Deliver { nth, off, lag, replace } => {
+                        let Some(id) = model.nth(nth) else { continue };
+                        let (_, _, consumed, avail, _) = model.clients.get_mut(&id).unwrap();
+                        let Some(idx) = (*consumed + off).checked_sub(2) else { continue };
+                        let slot = table.slot_of(id).expect("model says live");
+                        let at = round + lag;
+                        if replace {
+                            table.rebuffer_block(slot, idx, at);
+                            avail.insert(idx, at);
+                        } else {
+                            table.buffer_block(slot, idx, at);
+                            avail.entry(idx).or_insert(at);
                         }
-                        let nth = nth as usize % model.clients.len();
-                        let id = *model.clients.keys().nth(nth).unwrap();
-                        let (_, _, avail, recon) = model.clients.get_mut(&id).unwrap();
+                    }
+                    Op::Consume { nth } => {
+                        let Some(id) = model.nth(nth) else { continue };
+                        let (_, _, consumed, avail, _) = model.clients.get_mut(&id).unwrap();
+                        let slot = table.slot_of(id).expect("model says live");
+                        // The old consume: take the block if it is
+                        // available, else it is a hiccup and any entry
+                        // stays in the map.
+                        let expect = match avail.get(consumed) {
+                            Some(&at) if at <= round => avail.remove(consumed).is_some(),
+                            _ => false,
+                        };
+                        *consumed += 1;
+                        prop_assert_eq!(table.consume_next(slot, round), expect);
+                    }
+                    Op::Recon { nth, idx } => {
+                        let Some(id) = model.nth(nth) else { continue };
+                        let (_, _, _, _, recon) = model.clients.get_mut(&id).unwrap();
                         let slot = table.slot_of(id).expect("model says live") as usize;
-                        // Exercise every sv_* flavour the engine uses.
-                        sv_or_insert(&mut table.avail[slot], idx, round);
-                        avail.entry(idx).or_insert(round);
-                        sv_insert(&mut table.avail[slot], idx + 1, round);
-                        avail.insert(idx + 1, round);
-                        if idx % 3 == 0 {
-                            prop_assert_eq!(
-                                sv_remove(&mut table.avail[slot], idx),
-                                avail.remove(&idx)
-                            );
-                        }
                         sv_insert(&mut table.recon_pending[slot], idx, Countdown::new(2));
                         recon.insert(idx, Countdown::new(2));
                         if let Some(n) = sv_get_mut(&mut table.recon_pending[slot], idx) {
@@ -438,6 +610,12 @@ mod tests {
                         }
                         if let Some(n) = recon.get_mut(&idx) {
                             n.arrive();
+                        }
+                        if idx % 3 == 0 {
+                            prop_assert_eq!(
+                                sv_remove(&mut table.recon_pending[slot], idx),
+                                recon.remove(&idx)
+                            );
                         }
                     }
                 }
@@ -452,23 +630,49 @@ mod tests {
                     .collect();
                 let model_iter: Vec<RequestId> = model.clients.keys().copied().collect();
                 prop_assert_eq!(&table_iter, &model_iter, "iteration order diverged");
-                for (&id, (pl, at, avail, recon)) in &model.clients {
-                    let slot = table.slot_of(id).expect("live in model") as usize;
-                    prop_assert_eq!(table.placement[slot], *pl);
-                    prop_assert_eq!(table.admitted_at[slot], *at);
-                    let t_avail: Vec<(u64, u64)> =
-                        avail.iter().map(|(&k, &v)| (k, v)).collect();
-                    prop_assert_eq!(&table.avail[slot], &t_avail, "avail map diverged");
+                let mut behind = 0u64;
+                for (&id, (pl, at, consumed, avail, recon)) in &model.clients {
+                    let slot = table.slot_of(id).expect("live in model");
+                    let s = slot as usize;
+                    prop_assert_eq!(table.placement[s], *pl);
+                    prop_assert_eq!(table.admitted_at[s], *at);
+                    prop_assert_eq!(table.consumed[s], *consumed);
+                    // Ahead of consumption: the ring cells hold exactly
+                    // the model's entries, availability rounds included.
+                    let ahead: Vec<(u64, u64)> =
+                        avail.range(*consumed..).map(|(&k, &v)| (k, v)).collect();
+                    let ring: Vec<(u64, u64)> = (*consumed..*consumed + table.stride as u64)
+                        .filter_map(|idx| {
+                            let cell = s * table.stride + (idx as usize & (table.stride - 1));
+                            (table.ring[cell] != EMPTY).then_some((idx, table.ring[cell]))
+                        })
+                        .collect();
+                    prop_assert_eq!(&ring, &ahead, "ring buffer diverged");
+                    prop_assert_eq!(table.buffered_ahead(slot), ahead.len() as u64);
+                    // Behind it: the same membership.
+                    for &idx in avail.range(..*consumed).map(|(k, _)| k) {
+                        prop_assert!(table.behind.contains(&(slot, idx)), "lost a block behind");
+                        behind += 1;
+                    }
                     let t_recon: Vec<(u64, Countdown)> =
                         recon.iter().map(|(&k, &v)| (k, v)).collect();
-                    prop_assert_eq!(&table.recon_pending[slot], &t_recon);
-                    for (&k, &v) in avail {
-                        prop_assert_eq!(sv_get(&table.avail[slot], k), Some(v));
-                    }
+                    prop_assert_eq!(&table.recon_pending[s], &t_recon);
                 }
+                // Nothing else behind: removed streams took theirs along.
+                prop_assert_eq!(table.buffered_behind(), behind);
                 prop_assert_eq!(table.slot_of(RequestId(next_id)), None, "future id resolved");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the 4-block buffer window")]
+    fn buffering_past_the_window_panics() {
+        let mut table = StreamTable::new(WINDOW);
+        let slot = table.admit(RequestId(0), placement(0), 0, 0);
+        table.flush_staged();
+        table.buffer_block(slot, 3, 1);
+        table.buffer_block(slot, 4, 1);
     }
 
     #[test]
@@ -493,7 +697,7 @@ mod tests {
     fn bypass_admissions_merge_below_existing_ids() {
         // Ids 0..10 arrive; 5 and 7 are "bypassed" (admitted later than
         // 8 and 9) — the flush must re-sort them into place.
-        let mut table = StreamTable::default();
+        let mut table = StreamTable::new(WINDOW);
         for id in [0u64, 1, 2, 8, 9] {
             table.admit(RequestId(id), placement(id), 0, 0);
         }
@@ -509,7 +713,7 @@ mod tests {
 
     #[test]
     fn slots_are_reused_and_stale_entries_skipped() {
-        let mut table = StreamTable::default();
+        let mut table = StreamTable::new(WINDOW);
         for id in 0..4u64 {
             table.admit(RequestId(id), placement(id), 0, 0);
         }

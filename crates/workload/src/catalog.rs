@@ -84,7 +84,8 @@ impl Catalog {
     /// # Errors
     ///
     /// Returns [`CmsError::InvalidParams`] for zero counts, base lengths,
-    /// streams, alignment or jitter.
+    /// streams, alignment or jitter, and for clips that overflow 64-bit
+    /// stream indices.
     pub fn mixed(
         count: u64,
         base_len: u64,
@@ -106,21 +107,26 @@ impl Catalog {
             state ^= state << 17;
             state
         };
+        let overflow = || CmsError::invalid_params("catalog overflows 64-bit stream indices");
         let mut clips = Vec::with_capacity(count as usize);
         let mut cursors = vec![0u64; streams as usize];
         for i in 0..count {
             let stream = (i % u64::from(streams)) as u32;
             let cursor = &mut cursors[stream as usize];
-            let pad = (next() % jitter_units) * alignment;
-            let len = base_len + if spread == 0 { 0 } else { next() % (spread + 1) };
-            let start = (*cursor + pad).div_ceil(alignment) * alignment;
+            let pad = (next() % jitter_units).checked_mul(alignment).ok_or_else(overflow)?;
+            let extra = if spread == 0 { 0 } else { next() % spread.saturating_add(1) };
+            let len = base_len.checked_add(extra).ok_or_else(overflow)?;
+            let start = cursor
+                .checked_add(pad)
+                .and_then(|at| at.div_ceil(alignment).checked_mul(alignment))
+                .ok_or_else(overflow)?;
             clips.push(ClipPlacement {
                 id: ClipId(i),
                 stream,
                 start_index: start,
                 len,
             });
-            *cursor = start + len;
+            *cursor = start.checked_add(len).ok_or_else(overflow)?;
         }
         Ok(Catalog { clips, stream_lens: cursors })
     }
@@ -187,6 +193,15 @@ mod tests {
         let p = c.placement(ClipId(999));
         assert_eq!(p.start_index, 999 * 50);
         assert_eq!(p.end_index(), 50_000);
+    }
+
+    #[test]
+    fn overflowing_lengths_are_rejected() {
+        let invalid =
+            |r: Result<Catalog, CmsError>| matches!(r, Err(CmsError::InvalidParams { .. }));
+        assert!(invalid(Catalog::mixed(2, u64::MAX, 0, 1, 1, 1, 0)));
+        assert!(invalid(Catalog::mixed(2, 10, u64::MAX, 1, 1, 1, 3)));
+        assert!(invalid(Catalog::mixed(2, 10, 0, 1, u64::MAX, 2, 3)));
     }
 
     #[test]
